@@ -30,6 +30,7 @@ from .deadline import (
     problem_to_dict,
     solve_efficient,
     solve_simple,
+    with_chosen_penalty,
 )
 from .errors import CrowdPricerError, DataError, InfeasibleError
 from .estimation import (
@@ -267,7 +268,7 @@ def _cmd_solve_deadline(args: argparse.Namespace) -> int:
         penalty, achieved = calibrate_penalty(
             problem, args.bound, tolerance=args.bound_tol, solver=solver
         )
-        problem = dataclasses.replace(problem, penalty=penalty)
+        problem = with_chosen_penalty(problem, penalty)
         calibration = {
             "bound": args.bound,
             "tolerance": args.bound_tol,

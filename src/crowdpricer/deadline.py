@@ -5,12 +5,14 @@ interval t completes s ~ Pois(lambda_t * p(c)) tasks (capped at n); each
 completion pays c; tasks remaining at the deadline pay a penalty.  Backward
 induction over t yields the cost-to-go matrix opt and the price matrix.
 
-Two solvers share one per-state cost evaluator:
+Both solvers read one set of Poisson tables per time slice (built by
+``market.poisson_tables``) and apply the same lowest-price tie rule:
 
-* ``solve_simple`` scans every price for every state (ground truth);
-* ``solve_efficient`` assumes prices are non-decreasing in n within a time
-  slice and recursively bisects the state range, shrinking the price range
-  like a divide-and-conquer argmin.
+* ``solve_simple`` computes every price's cost one state at a time (the
+  reference);
+* ``solve_efficient`` scans every price for all states at once, as one
+  convolution of the next slice's costs with each price's pmf head.  The
+  scan is exact: it assumes nothing about how prices vary with n.
 
 Transition tails are truncated at the smallest s0 with
 Pr(Pois >= s0) < epsilon; the dropped mass is never renormalized, which
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .market import (
     grid_to_dict,
     model_from_dict,
     model_to_dict,
-    poisson_pmf_vector,
-    poisson_tail_vector,
+    poisson_tables,
     profile_from_dict,
     profile_to_dict,
     truncation_threshold,
@@ -84,17 +84,18 @@ class DeadlineProblem:
             raise ValueError("start_offset_seconds must be >= 0")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
-        if self.existence_alpha < 0:
-            raise ValueError("existence_alpha must be >= 0")
+        if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
+            raise ValueError("existence_alpha must be finite and >= 0")
         if self.penalty is None:
             object.__setattr__(self, "penalty", 10.0 * self.grid.max_price)
-        if self.penalty < 0:
-            raise ValueError("penalty must be >= 0")
+        if not (self.penalty >= 0 and np.isfinite(self.penalty)):
+            raise ValueError("penalty must be finite and >= 0")
         if 0 < self.penalty < self.grid.max_price:
+            # level 3 skips the generated __init__ and names the caller
             warnings.warn(
                 f"penalty {self.penalty} below grid.max_price "
                 f"{self.grid.max_price}: top prices can never pay off",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def interval_rates(self) -> np.ndarray:
@@ -158,129 +159,116 @@ def transition_distribution(
     mu = lambda_t * p
     if mu == 0.0:
         return [(0, 1.0)]
-    if epsilon == 0.0:
-        head = n
-    else:
-        head = min(n, truncation_threshold(mu, epsilon))
-    pmf = poisson_pmf_vector(head, mu)
-    out = [(s, float(pmf[s])) for s in range(head)]
-    tail = float(poisson_tail_vector(n + 1, mu)[n])
-    if tail > 0.0:
-        out.append((n, tail))
+    head = n if epsilon == 0.0 else min(n, truncation_threshold(mu, epsilon))
+    pmf, tails = poisson_tables(np.array([mu]), n)
+    out = [(s, float(q)) for s, q in enumerate(pmf[0, :head])]
+    if tails[0, n] > 0.0:
+        out.append((n, float(tails[0, n])))
     return out
 
 
-class _SliceCache:
-    """Per-(time-slice, price) transition arrays, built lazily.
+def _slice_tables(
+    problem: DeadlineProblem, mus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transition tables of one time slice, one row per posted mean.
 
-    For price index j: pmf head (s = 0..cap-1), prefix sums of s*pmf[s], and
-    upper tails Pr(Pois >= n) for n = 0..N.  cap = min(N, s0).
+    Returns (pmf, tails, caps): pmf[j, s] for s < N, zeroed from
+    cap_j = min(N, s0_j) on; tails[j, n] = Pr(Pois >= n) for n = 0..N; and
+    the caps.  One kernel call serves the tails and the truncation scan.
     """
-
-    def __init__(self, problem: DeadlineProblem, lam: float):
-        self.problem = problem
-        self.lam = lam
-        self.prices = list(problem.grid.prices())
-        self._acc = [None] * len(self.prices)
-        self._arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def acceptance(self, j: int) -> float:
-        if self._acc[j] is None:
-            self._acc[j] = self.problem.model.probability(self.prices[j])
-        return self._acc[j]
-
-    def arrays(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        got = self._arrays.get(j)
-        if got is None:
-            n_max = self.problem.n_tasks
-            mu = self.lam * self.acceptance(j)
-            if self.problem.epsilon == 0.0:
-                cap = n_max
-            else:
-                cap = min(n_max, truncation_threshold(mu, self.problem.epsilon))
-            pmf = poisson_pmf_vector(cap, mu)
-            sp = np.cumsum(np.arange(cap) * pmf)
-            tails = poisson_tail_vector(n_max + 1, mu)
-            got = (pmf, sp, tails)
-            self._arrays[j] = got
-        return got
-
-    def state_costs(
-        self, n: int, opt_next: np.ndarray, j_lo: int, j_hi: int
-    ) -> np.ndarray:
-        """Expected cost of posting each price j in [j_lo, j_hi] at state n."""
-        out = np.empty(j_hi - j_lo + 1)
-        for idx, j in enumerate(range(j_lo, j_hi + 1)):
-            pmf, sp, tails = self.arrays(j)
-            c = self.prices[j]
-            head = min(n, len(pmf))
-            rev = opt_next[n - head + 1 : n + 1][::-1]
-            out[idx] = float(np.dot(pmf[:head], rev)) + c * (
-                sp[head - 1] + n * tails[n]
-            )
-        return out
+    n_max, eps = problem.n_tasks, problem.epsilon
+    floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
+    pmf, tails = poisson_tables(mus, n_max, floor)
+    below = tails < eps  # never true when eps == 0
+    below[:, n_max] = True  # so the first True is at min(N, s0)
+    caps = below.argmax(axis=1)
+    pmf[np.arange(n_max) >= caps[:, None]] = 0.0
+    return pmf, tails, caps
 
 
-def _pick_lowest_tie(costs: np.ndarray, j_lo: int) -> tuple[int, float]:
-    """Index of the lowest price whose cost ties the minimum (1e-12 relative)."""
-    v = float(np.min(costs))
-    thresh = v + _TIE_REL * max(1.0, abs(v))
-    idx = int(np.argmax(costs <= thresh))
-    return j_lo + idx, float(costs[idx])
+def _state_cost(
+    pmf_j: np.ndarray, cap: int, spend_j: np.ndarray, n: int, opt_next: np.ndarray
+) -> float:
+    """Expected cost of one price at state n: the continuation
+    sum_{s < min(n, cap)} pmf[s] * opt_next[n - s] plus the reward spend.
+
+    The reversed view keeps np.dot on its plain loop in order of s, so the
+    value does not depend on where the arrays sit in memory."""
+    head = min(n, cap)
+    return float(np.dot(pmf_j[:head], opt_next[n : n - head : -1])) + spend_j[n - 1]
 
 
-def _init_solution(problem: DeadlineProblem) -> tuple[np.ndarray, np.ndarray]:
+def _loop_costs(pmf, caps, spend, opt_next) -> np.ndarray:
+    """Every price's cost (rows) at every state n = 1..N (columns), one
+    state and one price at a time."""
+    n_max = pmf.shape[1]
+    costs = np.empty((len(pmf), n_max))
+    for n in range(1, n_max + 1):
+        for j in range(len(pmf)):
+            costs[j, n - 1] = _state_cost(pmf[j], caps[j], spend[j], n, opt_next)
+    return costs
+
+
+def _scan_costs(pmf, caps, spend, opt_next) -> np.ndarray:
+    """The costs of _loop_costs to float rounding, all states of a price at
+    once: the continuation is the convolution of opt_next with the pmf head
+    (opt_next[0] = 0 absorbs the term s = n)."""
+    n_max = pmf.shape[1]
+    costs = spend.copy()
+    for j, cap in enumerate(caps):
+        costs[j] += np.convolve(opt_next, pmf[j, :cap])[1 : n_max + 1]
+    return costs
+
+
+def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy:
+    """Backward induction over time slices.
+
+    slice_costs gives every grid price's cost at every state n >= 1; each
+    state posts the lowest price whose cost ties the minimum (1e-12
+    relative).  The posted price's cost is then taken from _state_cost, so
+    every solver writes the same opt bits for the same prices.
+    """
     n_max, horizon = problem.n_tasks, problem.n_intervals
+    prices = np.array(problem.grid.prices(), dtype=np.int64)
+    acceptance = np.array([problem.model.probability(int(c)) for c in prices])
     price = np.full((n_max + 1, horizon), problem.grid.min_price, dtype=np.int64)
     opt = np.zeros((n_max + 1, horizon + 1))
     opt[:, horizon] = [problem.terminal_cost(n) for n in range(n_max + 1)]
-    return price, opt
+    rates = problem.interval_rates()
+    s, n = np.arange(n_max), np.arange(1, n_max + 1)
+    for t in range(horizon - 1, -1, -1):
+        pmf, tails, caps = _slice_tables(problem, rates[t] * acceptance)
+        # spend[j, n-1] = c_j * (sum_{s<n} s * pmf[j, s] + n * tails[j, n])
+        spend = np.cumsum(s * pmf, axis=1)
+        spend += n * tails[:, 1:]
+        spend *= prices[:, None]
+        opt_next = opt[:, t + 1]
+        costs = slice_costs(pmf, caps, spend, opt_next)
+        best = costs.min(axis=0)
+        choice = np.argmax(costs <= best + _TIE_REL * np.maximum(1.0, np.abs(best)), axis=0)
+        price[1:, t] = prices[choice]
+        opt[1:, t] = [
+            _state_cost(pmf[j], caps[j], spend[j], k, opt_next)
+            for k, j in enumerate(choice, start=1)
+        ]
+    return DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
 
 
 def solve_simple(problem: DeadlineProblem) -> DeadlinePolicy:
-    """Backward induction scanning every price for every state."""
-    price, opt = _init_solution(problem)
-    rates = problem.interval_rates()
-    j_hi = len(problem.grid) - 1
-    for t in range(problem.n_intervals - 1, -1, -1):
-        cache = _SliceCache(problem, float(rates[t]))
-        opt_next = opt[:, t + 1]
-        for n in range(1, problem.n_tasks + 1):
-            costs = cache.state_costs(n, opt_next, 0, j_hi)
-            j, v = _pick_lowest_tie(costs, 0)
-            price[n, t] = cache.prices[j]
-            opt[n, t] = v
-    return DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
+    """Backward induction scanning every price for every state, one state
+    at a time (the reference solver)."""
+    return _backward_induction(problem, _loop_costs)
 
 
 def solve_efficient(problem: DeadlineProblem) -> DeadlinePolicy:
-    """Backward induction with divide-and-conquer price search.
+    """Backward induction with an exact scan of every price.
 
-    Relies on prices being non-decreasing in n within a slice: solving the
-    middle state m first confines states below m to prices <= price(m) and
-    states above to prices >= price(m).
+    Per time slice, every price's cost at every state comes from one
+    convolution and one cumulative sum over the tables solve_simple reads;
+    nothing is assumed about how prices vary with n.  Both solvers post the
+    same prices and write the same opt matrix.
     """
-    price, opt = _init_solution(problem)
-    rates = problem.interval_rates()
-    j_max = len(problem.grid) - 1
-    for t in range(problem.n_intervals - 1, -1, -1):
-        cache = _SliceCache(problem, float(rates[t]))
-        opt_next = opt[:, t + 1]
-
-        # explicit stack of (n_lo, n_hi, j_lo, j_hi) segments
-        stack = [(1, problem.n_tasks, 0, j_max)]
-        while stack:
-            n_lo, n_hi, j_lo, j_hi = stack.pop()
-            if n_lo > n_hi:
-                continue
-            m = (n_lo + n_hi) // 2
-            costs = cache.state_costs(m, opt_next, j_lo, j_hi)
-            j, v = _pick_lowest_tie(costs, j_lo)
-            price[m, t] = cache.prices[j]
-            opt[m, t] = v
-            stack.append((n_lo, m - 1, j_lo, j))
-            stack.append((m + 1, n_hi, j, j_hi))
-    return DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
+    return _backward_induction(problem, _scan_costs)
 
 
 @dataclass(frozen=True)
@@ -310,33 +298,36 @@ def evaluate_policy_exact(
     dist[n_max] = 1.0
     cost = 0.0
     for t in range(horizon):
-        lam = float(rates[t])
-        cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        posted = np.unique(policy.price[1:, t])
+        mus = rates[t] * np.array([problem.model.probability(int(c)) for c in posted])
+        pmf, tails = poisson_tables(mus, n_max)
+        spend = np.cumsum(np.arange(n_max) * pmf, axis=1)
+        rows = np.searchsorted(posted, policy.price[:, t])
         new = np.zeros(n_max + 1)
         new[0] = dist[0]
         for n in range(1, n_max + 1):
             mass = dist[n]
             if mass == 0.0:
                 continue
-            c = int(policy.price[n, t])
-            got = cache.get(c)
-            if got is None:
-                mu = lam * problem.model.probability(c)
-                pmf = poisson_pmf_vector(n_max, mu)
-                sp = np.cumsum(np.arange(n_max) * pmf)
-                tails = poisson_tail_vector(n_max + 1, mu)
-                got = (pmf, sp, tails)
-                cache[c] = got
-            pmf, sp, tails = got
-            new[1 : n + 1] += mass * pmf[:n][::-1]
-            new[0] += mass * tails[n]
-            cost += mass * c * (sp[n - 1] + n * tails[n])
+            j, c = rows[n], int(policy.price[n, t])
+            new[1 : n + 1] += mass * pmf[j, :n][::-1]
+            new[0] += mass * tails[j, n]
+            cost += mass * c * (spend[j, n - 1] + n * tails[j, n])
         dist = new
     remaining = float(np.dot(np.arange(n_max + 1), dist))
     pr_any = float(np.sum(dist[1:]))
     return PolicyEvaluation(
         expected_cost=cost, expected_remaining=remaining, pr_any_remaining=pr_any
     )
+
+
+def with_chosen_penalty(problem: DeadlineProblem, penalty: float) -> DeadlineProblem:
+    """problem with a penalty the program chose (a calibration probe or its
+    result), without the warning meant for a user's penalty below
+    grid.max_price."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return replace(problem, penalty=penalty)
 
 
 def calibrate_penalty(
@@ -358,10 +349,7 @@ def calibrate_penalty(
         raise ValueError("tolerance must be in (0, 1)")
 
     def achieved_at(pen: float) -> float:
-        with warnings.catch_warnings():
-            # probing penalties below max_price is intentional here
-            warnings.simplefilter("ignore")
-            probe = replace(problem, penalty=pen)
+        probe = with_chosen_penalty(problem, pen)
         ev = evaluate_policy_exact(probe, solver(probe))
         if problem.existence_alpha > 0:
             return ev.expected_remaining + problem.existence_alpha * ev.pr_any_remaining

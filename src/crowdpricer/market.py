@@ -222,34 +222,49 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
+def poisson_support_end(lam: float, floor: float = 1e-18) -> int:
+    """An index K with Pr(Pois(lam) >= K) < floor.
+
+    Pois(lam) is sub-gamma with variance factor lam and scale 1, so
+    Pr(X >= lam + sqrt(2*lam*L) + L) <= exp(-L); with L = ln(1/floor) the
+    mass from K = ceil(lam + sqrt(2*lam*L) + L) + 1 upward is below floor.
+    """
+    big_l = -math.log(floor)
+    return math.ceil(lam + math.sqrt(2.0 * lam * big_l) + big_l) + 1
+
+
+def poisson_tables(
+    mus: np.ndarray, n: int, floor: float = 1e-18
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson tables for a vector of means: the one place they are built.
+
+    Returns (pmf, tails) with pmf[i, k] = Pr(Pois(mus[i]) = k) for k < n and
+    tails[i, k] = Pr(Pois(mus[i]) >= k) for k <= n.  The pmf is evaluated
+    in log space out to past n and past poisson_support_end(max(mus),
+    floor); the tails are its suffix sums, adding the small terms first, and
+    leave out only the mass beyond that end, below floor.  A zero mean gives
+    the point mass at 0.
+    """
+    mus = np.asarray(mus, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(mus) & (mus >= 0.0)):
+        raise ValueError("Poisson means must be finite and non-negative")
+    end = max(n + 1, poisson_support_end(float(mus.max(initial=0.0)), floor))
+    live = mus > 0.0
+    # log(1) stands in for log(0) on zero-mean rows, whose k = 0 entry comes
+    # out as exp(0) = 1 and whose other entries are cleared below
+    pmf = np.arange(end) * np.log(np.where(live, mus, 1.0))[:, None]
+    pmf -= mus[:, None]
+    pmf -= _lgamma_table(end)
+    np.exp(pmf, out=pmf)
+    pmf[~live, 1:] = 0.0
+    tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    tails[:, 0] = 1.0
+    return pmf[:, :n], tails[:, : n + 1]
+
+
 def poisson_pmf_vector(n: int, lam: float) -> np.ndarray:
     """Pr(Pois(lam) = k) for k = 0..n-1 as a float64 array."""
-    if n <= 0:
-        return np.zeros(0)
-    if lam == 0:
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out
-    k = np.arange(n, dtype=np.float64)
-    logs = k * math.log(lam) - lam - _lgamma_table(n)
-    return np.exp(logs)
-
-
-def _support_end(lam: float, floor: float = 1e-18) -> int:
-    """An index K such that Pr(Pois(lam) >= K) < floor, found by walking the
-    pmf past the mode until a geometric bound on the remaining tail drops
-    below floor."""
-    if lam == 0:
-        return 1
-    k = int(math.ceil(lam)) + 1
-    while True:
-        pk = poisson_pmf(k, lam)
-        ratio = lam / (k + 1)
-        if ratio < 1.0:
-            bound = pk / (1.0 - ratio)  # sum_{j>=k} pmf(j) <= pmf(k)/(1-r)
-            if bound < floor:
-                return k + 1
-        k += max(1, int(math.sqrt(lam)))
+    return poisson_tables(np.array([lam]), max(n, 0))[0][0]
 
 
 def poisson_tail(k: int, lam: float) -> float:
@@ -273,19 +288,10 @@ def poisson_tail(k: int, lam: float) -> float:
 
 
 def poisson_tail_vector(n: int, lam: float) -> np.ndarray:
-    """Pr(Pois(lam) >= k) for k = 0..n-1, accurate in both tails.
-
-    Built from a suffix sum of the pmf out to where the pmf dies (adding the
-    small terms first), so small upper tails keep full relative accuracy.
-    """
+    """Pr(Pois(lam) >= k) for k = 0..n-1, accurate in both tails."""
     if n <= 0:
         return np.zeros(0)
-    end = max(n, _support_end(lam))
-    pmf = poisson_pmf_vector(end, lam)
-    suffix = np.cumsum(pmf[::-1])[::-1]
-    out = suffix[:n].copy()
-    out[0] = 1.0
-    return out
+    return poisson_tables(np.array([lam]), n - 1)[1][0]
 
 
 def truncation_threshold(lam: float, epsilon: float) -> int:
@@ -294,15 +300,11 @@ def truncation_threshold(lam: float, epsilon: float) -> int:
         raise ValueError("epsilon must be in (0, 1)")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    if lam == 0:
-        return 1
-    # upper bound for the scan: tails below epsilon*1e-9 are certainly past s0
-    end = _support_end(lam, floor=min(1e-18, epsilon * 1e-9))
-    tails = poisson_tail_vector(end + 1, lam)
-    below = np.nonzero(tails < epsilon)[0]
-    if len(below) == 0:  # pragma: no cover - end is chosen to preclude this
-        raise RuntimeError("tail scan window too small")
-    return int(below[0])
+    # tails at the support end are below floor < epsilon, so s0 is in range
+    floor = min(1e-18, epsilon * 1e-9)
+    end = poisson_support_end(lam, floor)
+    tails = poisson_tables(np.array([lam]), end, floor)[1][0]
+    return int(np.argmax(tails < epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,8 @@ class TestSolveDeadline:
         r = run_cli(ws, "solve-deadline", *PROB_FLAGS,
                     "--bound", "0.5", "--out", "pol_cal.json")
         assert r.returncode == 0, r.stderr
+        # the calibrated penalty is the program's choice: no warning about it
+        assert "UserWarning" not in r.stderr
         doc = load(ws, "pol_cal.json")
         cal = doc["summary"]["calibration"]
         assert cal["bound"] == 0.5
@@ -179,6 +181,13 @@ class TestSolveDeadline:
         assert problem.penalty == doc["summary"]["penalty_cents"]
         ev = deadline.evaluate_policy_exact(problem, deadline.solve_efficient(problem))
         assert ev.expected_remaining == pytest.approx(cal["achieved"], rel=1e-12)
+
+    def test_calibrated_penalty_below_top_price_does_not_warn(self, ws):
+        r = run_cli(ws, "solve-deadline", *PROB_FLAGS,
+                    "--bound", "4", "--out", "pol_cal4.json")
+        assert r.returncode == 0, r.stderr
+        assert load(ws, "pol_cal4.json")["summary"]["penalty_cents"] < 20
+        assert "UserWarning" not in r.stderr
 
     def test_infeasible_bound_exits_4(self, ws):
         # price-capped logistic market cannot push remaining below 0.5

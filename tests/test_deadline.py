@@ -147,17 +147,57 @@ class TestSolveSimple:
         assert set(policy.price[1:, :-1].ravel().tolist()) <= allowed
 
 
+def counterexample_problem():
+    """Optimal prices at t=0 are not monotone in n here (0, 0, 1, 0 for
+    n = 1..4); a search that assumed they were found opt 3.793412."""
+    return DeadlineProblem(
+        n_tasks=4, n_intervals=2, interval_seconds=600,
+        profile=ArrivalProfile(600, (2.0, 25.5)),
+        model=TabulatedAcceptance({0: 0.11, 1: 0.62, 2: 0.94}),
+        grid=PriceGrid(0, 2), penalty=4.7, epsilon=0.0)
+
+
+def wide_rate_problem(rng, epsilon):
+    """Rates log-uniform over 0.2-3000 arrivals per interval, a tabulated or
+    a logistic model, and existence_alpha > 0."""
+    n_prices = int(rng.integers(2, 13))
+    horizon = int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        model = TabulatedAcceptance(
+            {c: float(p) for c, p in enumerate(np.sort(rng.uniform(0.005, 1.0, n_prices)))})
+    else:
+        model = LogisticAcceptance(
+            scale_s=float(np.exp(rng.uniform(0.0, np.log(30.0)))),
+            bias_b=float(rng.uniform(-3.0, 3.0)),
+            market_mass_m=float(np.exp(rng.uniform(0.0, np.log(5000.0)))))
+    rates = np.exp(rng.uniform(np.log(0.2), np.log(3000.0), horizon))
+    return DeadlineProblem(
+        n_tasks=int(rng.integers(2, 31)), n_intervals=horizon, interval_seconds=600,
+        profile=ArrivalProfile(600, tuple(rates.tolist())),
+        model=model, grid=PriceGrid(0, n_prices - 1),
+        penalty=float((n_prices - 1) * rng.uniform(1.0, 10.0)),
+        existence_alpha=float(rng.uniform(0.1, 3.0)), epsilon=epsilon)
+
+
 class TestSolveEfficient:
     def test_identical_to_simple(self):
         rng = np.random.default_rng(99)
+        problems = []
         for eps in (0.0, 1e-9):
             for _ in range(4):
                 prob, *_ = oracles.random_deadline_instance(
                     rng, n_max=25, t_max=6, c_max=10, epsilon=eps)
-                a = solve_simple(prob)
-                b = solve_efficient(prob)
-                assert np.array_equal(a.price, b.price)
-                np.testing.assert_allclose(a.opt, b.opt, rtol=0, atol=1e-9)
+                problems.append(prob)
+        problems.append(counterexample_problem())
+        fuzz = np.random.default_rng(2014)
+        problems += [wide_rate_problem(fuzz, eps) for eps in (0.0, 1e-9) for _ in range(20)]
+        for prob in problems:
+            a = solve_simple(prob)
+            b = solve_efficient(prob)
+            assert np.array_equal(a.price, b.price)
+            np.testing.assert_allclose(a.opt, b.opt, rtol=0, atol=1e-9)
+        assert solve_efficient(counterexample_problem()).opt[4, 0] == pytest.approx(
+            3.767083, abs=1e-6)
 
     def test_single_price_grid(self):
         prob = small_problem(grid=PriceGrid(4, 4))
@@ -370,8 +410,10 @@ class TestProblemValidation:
         assert prob.penalty == 10 * prob.grid.max_price
 
     def test_low_penalty_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             small_problem(penalty=3.0)
+        # the warning names the line that built the problem, not <string>
+        assert caught[0].filename == __file__
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -384,6 +426,12 @@ class TestProblemValidation:
             small_problem(epsilon=1.0)
         with pytest.raises(ValueError):
             small_problem(existence_alpha=-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                small_problem(penalty=bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                small_problem(existence_alpha=bad)
 
     def test_offset_shifts_rates(self):
         profile = ArrivalProfile(600, (2.0, 3.5, 1.0, 2.5), periodic=True)

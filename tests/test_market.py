@@ -22,6 +22,8 @@ from crowdpricer.market import (
     model_from_dict,
     model_to_dict,
     poisson_pmf_vector,
+    poisson_support_end,
+    poisson_tables,
     poisson_tail_vector,
     profile_from_dict,
     profile_to_dict,
@@ -98,6 +100,45 @@ class TestPoissonTail:
         assert vec[0] == 1.0
         for k in (1, 5, 25):
             assert vec[k] == pytest.approx(poisson_tail(k, lam), rel=1e-12)
+
+
+class TestPoissonTables:
+    # the floors in use: tails (1e-18) and the epsilon scan at
+    # epsilon = 1e-9 and 1e-12 (min(1e-18, epsilon * 1e-9))
+    FLOORS = (1e-18, 1e-21)
+
+    def test_support_end_leaves_less_than_floor(self):
+        for lam in np.logspace(-3, 4, 15):
+            for floor in self.FLOORS:
+                end = poisson_support_end(float(lam), floor)
+                assert oracles.mp_poisson_tail(end, float(lam)) < floor
+
+    def test_rows_match_scalar_helpers(self):
+        mus = np.array([0.3, 4.0, 75.0])
+        pmf, tails = poisson_tables(mus, 30)
+        assert pmf.shape == (3, 30) and tails.shape == (3, 31)
+        for i, lam in enumerate(mus):
+            for k in range(30):
+                assert pmf[i, k] == pytest.approx(poisson_pmf(k, lam), rel=1e-12, abs=1e-300)
+            for k in range(31):
+                want = float(oracles.mp_poisson_tail(k, lam))
+                assert tails[i, k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_zero_mean_row_is_point_mass(self):
+        # a zero-rate bucket gives mean 0; log(0) must never be evaluated,
+        # which the suite's warnings-as-errors setting would catch
+        pmf, tails = poisson_tables(np.array([0.0, 2.5, 0.0]), 6)
+        for i in (0, 2):
+            assert pmf[i].tolist() == [1.0, 0, 0, 0, 0, 0]
+            assert tails[i].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
+        assert pmf[1, 3] == pytest.approx(poisson_pmf(3, 2.5), rel=1e-13)
+        pmf, tails = poisson_tables(np.zeros(2), 0)
+        assert pmf.shape == (2, 0) and tails.tolist() == [[1.0], [1.0]]
+
+    def test_rejects_bad_means(self):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                poisson_tables(np.array([1.0, bad]), 4)
 
 
 class TestTruncationThreshold:
