@@ -693,7 +693,8 @@ def _add_sim_config_args(p: argparse.ArgumentParser, trials_required: bool) -> N
     p.add_argument(
         "--parallel",
         action="store_true",
-        help="run trials in a process pool (same results as serial)",
+        help="accepted for compatibility; trials always run in vectorized "
+        "blocks (same results as serial)",
     )
 
 

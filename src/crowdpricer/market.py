@@ -120,6 +120,8 @@ class LogisticAcceptance(AcceptanceModel):
             raise ValueError("market_mass_m must be non-negative and finite")
 
     def probability(self, price: int) -> float:
+        if not math.isfinite(price):
+            raise ValueError(f"price must be finite, got {price}")
         if self.market_mass_m == 0:
             return 1.0
         x = price / self.scale_s - self.bias_b

@@ -1,16 +1,21 @@
 """Monte Carlo simulators, the fixed-price baseline, and validation helpers.
 
-Determinism contract: trial i draws from a Philox counter-based generator
-keyed by (seed, i) and nothing else, so results are bit-identical however
-trials are scheduled (serial, chunked, or a process pool) and aggregates are
-reductions of the per-trial arrays in trial order.
+Determinism contract: the simulators split trials 0..trials-1 into blocks of
+``_BLOCK`` consecutive trials (fewer when a budget allocation has so many
+tasks that a block would hold more than ``_BLOCK_CELLS`` quota draws), and
+block b draws from a Philox counter-based generator keyed by (seed, b) and
+nothing else.  All trials of a block advance together through the same
+vectorized steps, so results are a function of (seed, trials, inputs) only.
+There is no process pool: ``SimulationConfig.parallel`` is recorded in the
+report and runs the same code, so a parallel document differs from the
+serial one only in that flag.  Aggregates are reductions of the per-trial
+columns in trial order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +31,13 @@ from .market import AcceptanceModel, ArrivalProfile, TabulatedAcceptance
 
 SCHEMA_VERSION = 1
 
-_PARALLEL_MIN_TRIALS = 512  # below this a pool costs more than it saves
+_BLOCK = 1024  # trials per block
+_BLOCK_CELLS = 1 << 18  # bound on trials x tasks in one budget block
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,7 @@ class FixedPrice:
     price: int
 
     def __post_init__(self) -> None:
+        _require_int("price", self.price)
         if self.price < 0:
             raise ValueError("price must be >= 0")
 
@@ -47,6 +59,8 @@ class SimulationConfig:
     parallel: bool = False
 
     def __post_init__(self) -> None:
+        _require_int("trials", self.trials)
+        _require_int("seed", self.seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (0 <= self.seed < 2**63):
@@ -74,41 +88,52 @@ class Aggregates:
     se_workers: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
+    """Per-trial columns in trial order: ``cost`` in cents and ``remaining``
+    tasks (int64), ``completion`` seconds (NaN where the trial never
+    finished), and ``workers``, the arrivals observed (None unless the
+    budget simulator ran)."""
+
     strategy_descriptor: str
     config: SimulationConfig
-    per_trial: tuple[TrialOutcome, ...]
+    cost: np.ndarray
+    remaining: np.ndarray
+    completion: np.ndarray
+    workers: np.ndarray | None = None
+
+    def _rows(self):
+        """(cost, remaining, completion seconds or None, workers or None)
+        per trial, as Python values."""
+        done = [None if math.isnan(t) else t for t in self.completion.tolist()]
+        workers = [None] * len(done) if self.workers is None else self.workers.tolist()
+        return zip(self.cost.tolist(), self.remaining.tolist(), done, workers)
+
+    @property
+    def per_trial(self) -> tuple[TrialOutcome, ...]:
+        """One read-only row object per trial, built from the columns."""
+        return tuple(TrialOutcome(*row) for row in self._rows())
 
     def aggregates(self) -> Aggregates:
         """Reductions of the per-trial columns, in trial order."""
 
         def mean_se(values: np.ndarray) -> tuple[float, float]:
+            values = values.astype(np.float64)
             m = float(np.mean(values))
             se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
             return m, se
 
-        cost = np.array([o.total_cost for o in self.per_trial], dtype=np.float64)
-        remaining = np.array([o.remaining_tasks for o in self.per_trial], dtype=np.float64)
-        done = np.array(
-            [o.completion_seconds for o in self.per_trial if o.completion_seconds is not None],
-            dtype=np.float64,
-        )
-        mean_cost, se_cost = mean_se(cost)
-        mean_rem, se_rem = mean_se(remaining)
-        rate = len(done) / len(self.per_trial)
+        done = self.completion[~np.isnan(self.completion)]
+        mean_cost, se_cost = mean_se(self.cost)
+        mean_rem, se_rem = mean_se(self.remaining)
         mean_done, se_done = mean_se(done) if len(done) else (None, None)
-        workers = [o.workers for o in self.per_trial]
-        if any(w is None for w in workers):
-            mean_w, se_w = None, None
-        else:
-            mean_w, se_w = mean_se(np.array(workers, dtype=np.float64))
+        mean_w, se_w = (None, None) if self.workers is None else mean_se(self.workers)
         return Aggregates(
             mean_cost=mean_cost,
             se_cost=se_cost,
             mean_remaining=mean_rem,
             se_remaining=se_rem,
-            completion_rate=rate,
+            completion_rate=len(done) / len(self.cost),
             mean_completion_seconds=mean_done,
             se_completion_seconds=se_done,
             mean_workers=mean_w,
@@ -116,60 +141,18 @@ class SimulationReport:
         )
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _rng(seed: int, key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
-def _run_chunked(worker, payload, config: SimulationConfig) -> tuple[TrialOutcome, ...]:
-    """Run trials 0..trials-1 through `worker`, optionally on a process pool.
-
-    Chunking never changes results: each trial's stream depends only on
-    (seed, trial index).
-    """
-    n = config.trials
-    if not config.parallel or n < _PARALLEL_MIN_TRIALS:
-        return tuple(worker(payload, config.seed, 0, n))
-    import os
-
-    pool_size = min(os.cpu_count() or 1, 8)
-    chunk = math.ceil(n / (pool_size * 4))
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    out: list[TrialOutcome] = []
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        futures = [
-            pool.submit(worker, payload, config.seed, lo, hi) for lo, hi in spans
-        ]
-        for fut in futures:  # submission order == trial order
-            out.extend(fut.result())
-    return tuple(out)
+def _blocks(config: SimulationConfig, size: int):
+    """(generator, first trial, end) of each block, in trial order."""
+    for b, lo in enumerate(range(0, config.trials, size)):
+        yield _rng(config.seed, b), lo, min(lo + size, config.trials)
 
 
 # ---------------------------------------------------------------------------
 # Deadline simulation (interval-level).
-
-
-def _deadline_trials(payload, seed: int, lo: int, hi: int) -> list[TrialOutcome]:
-    rates, interval_seconds, n_tasks, price_of, accept_of = payload
-    horizon = len(rates)
-    out = []
-    for i in range(lo, hi):
-        rng = _trial_rng(seed, i)
-        n = n_tasks
-        cost = 0
-        completion = None
-        for t in range(horizon):
-            c = int(price_of[n, t])
-            s = int(rng.poisson(rates[t] * accept_of[c]))
-            if s > n:
-                s = n
-            cost += s * c
-            n -= s
-            if n == 0:
-                completion = float((t + 1) * interval_seconds)
-                break
-        out.append(TrialOutcome(cost, n, completion))
-    return out
 
 
 def simulate_deadline(
@@ -180,7 +163,7 @@ def simulate_deadline(
     """Interval-level Monte Carlo: completions per interval are Poisson draws
     at lambda_t * p(price), capped at the remaining count; completion time is
     the end of the interval that finished the batch."""
-    rates = tuple(float(r) for r in problem.interval_rates())
+    rates = problem.interval_rates()
     n_max = problem.n_tasks
     if isinstance(strategy, FixedPrice):
         price_of = np.full((n_max + 1, len(rates)), strategy.price, dtype=np.int64)
@@ -194,90 +177,39 @@ def simulate_deadline(
             )
         price_of = strategy.price
         descriptor = f"policy:{strategy.problem_digest[:12]}"
-    accept_of = {
-        int(c): problem.model.probability(int(c)) for c in np.unique(price_of)
-    }
-    payload = (rates, problem.interval_seconds, n_max, price_of, accept_of)
-    per_trial = _run_chunked(_deadline_trials, payload, config)
-    return SimulationReport(
-        strategy_descriptor=descriptor, config=config, per_trial=per_trial
-    )
+    prices, price_index = np.unique(price_of, return_inverse=True)
+    price_index = price_index.reshape(price_of.shape)
+    accept = np.array([problem.model.probability(int(c)) for c in prices])
+
+    cost = np.zeros(config.trials, dtype=np.int64)
+    remaining = np.full(config.trials, n_max, dtype=np.int64)
+    completion = np.full(config.trials, np.nan)
+    for rng, lo, hi in _blocks(config, _BLOCK):
+        n = remaining[lo:hi]  # a view: the block's state, updated in place
+        for t, rate in enumerate(rates):
+            c = price_index[n, t]
+            s = np.minimum(rng.poisson(rate * accept[c]), n)
+            cost[lo:hi] += s * prices[c]
+            n -= s
+            completion[lo:hi][(s > 0) & (n == 0)] = (t + 1) * problem.interval_seconds
+            if not n.any():
+                break
+    return SimulationReport(descriptor, config, cost, remaining, completion)
 
 
 # ---------------------------------------------------------------------------
 # Budget simulation (event-level).
 
-_BUCKET_BLOCK = 64  # buckets drawn per poisson call while seeking the last arrival
 
-
-def _budget_trial_detail(
-    prices_desc: np.ndarray,
-    probs_desc: np.ndarray,
-    profile: ArrivalProfile,
-    rng: np.random.Generator,
-) -> tuple[int, int, float | None, int]:
-    """One trial; returns (cost, remaining, completion_seconds, workers).
-
-    Acceptance checks are per-task geometric draws: a worker facing the
-    current highest remaining price accepts with that price's probability,
-    so the count of arrivals consumed by each task is Geometric(p), highest
-    price first.
-    """
-    w = rng.geometric(probs_desc)  # arrivals consumed per task, descending price
-    need = int(np.sum(w))
-
-    rates = np.asarray(profile.rates)
-    span = len(rates)
-    total_per_period = float(np.sum(rates))
-    if profile.periodic and total_per_period <= 0.0:
-        raise DataError("profile exhausted: periodic profile with zero total rate")
-    if profile.periodic and need * span / total_per_period > 5e6:
-        raise CapacityError(
-            f"simulation horizon exceeded: ~{need * span / total_per_period:.3g} "
-            f"buckets needed to see {need} arrivals"
-        )
-
-    seen = 0
-    k = 0  # bucket index
-    while True:
-        if not profile.periodic and k >= span:
-            # profile ran out: count tasks whose arrival quota was met
-            prefix = np.cumsum(w)
-            done = int(np.searchsorted(prefix, seen, side="right"))
-            cost = int(np.sum(prices_desc[:done]))
-            return cost, len(w) - done, None, seen
-        if profile.periodic:
-            block = rates[np.arange(k, k + _BUCKET_BLOCK) % span]
-        else:
-            block = rates[k : min(k + _BUCKET_BLOCK, span)]
-        counts = rng.poisson(block)
-        cum = np.cumsum(counts)
-        hit = np.nonzero(seen + cum >= need)[0]
-        if len(hit) == 0:
-            seen += int(cum[-1])
-            k += len(block)
-            continue
-        j = int(hit[0])
-        before = seen + (int(cum[j - 1]) if j > 0 else 0)
-        cnt = int(counts[j])
-        # uniform placement inside the completing bucket; we need the
-        # (need-before)-th order statistic
-        u = np.sort(rng.random(cnt))
-        frac = float(u[need - before - 1])
-        completion = (k + j + frac) * profile.bucket_seconds
-        cost = int(np.sum(prices_desc))
-        return cost, 0, completion, need
-
-
-def _budget_trials(payload, seed: int, lo: int, hi: int) -> list[TrialOutcome]:
-    prices_desc, probs_desc, profile = payload
-    out = []
-    for i in range(lo, hi):
-        cost, remaining, completion, workers = _budget_trial_detail(
-            prices_desc, probs_desc, profile, _trial_rng(seed, i)
-        )
-        out.append(TrialOutcome(cost, remaining, completion, workers))
-    return out
+def _seconds_into(
+    r: np.ndarray, rates: np.ndarray, ends: np.ndarray, bucket_seconds: int
+) -> np.ndarray:
+    """Seconds into the profile at which its cumulative intensity reaches r
+    (0 <= r <= total): the NHPP time change read backwards.  A zero-rate
+    bucket ends where it begins, so no time falls inside one."""
+    k = np.minimum(np.searchsorted(ends, r, side="right"), np.flatnonzero(rates).max(initial=0))
+    frac = np.clip((r - (ends[k] - rates[k])) / rates[k], 0.0, 1.0)
+    return (k + frac) * bucket_seconds
 
 
 def simulate_budget(
@@ -288,11 +220,16 @@ def simulate_budget(
 ) -> SimulationReport:
     """Event-level Monte Carlo of a static allocation.
 
-    Workers arrive by an NHPP (bucket-wise Poisson counts, uniform placement
-    within buckets); each arrival faces the highest-priced remaining task and
-    accepts with its probability.  A non-periodic profile that ends before
-    the batch finishes yields a partial trial (remaining > 0, no completion
-    time)."""
+    Workers arrive by an NHPP; each arrival faces the highest-priced
+    remaining task and accepts with its probability, so each task consumes
+    a Geometric(p) quota of arrivals, highest price first, and the batch
+    finishes at arrival number `need`, the sum of the quotas.  Through the
+    time change that arrival comes when the cumulative intensity reaches
+    Gamma(need, 1), wrapping around a periodic profile.  A non-periodic
+    profile instead draws the Poisson count of all its arrivals: if it
+    covers `need`, the finishing arrival is the Beta(need, count - need + 1)
+    order statistic of the profile's intensity; otherwise the trial is
+    partial (remaining > 0, no completion time, workers = count)."""
     prices: list[int] = []
     for c, k in entries:
         if k < 1 or c < 0:
@@ -305,14 +242,47 @@ def simulate_budget(
     if np.any(probs_desc < 1e-12):
         dead = int(prices_desc[np.argmin(probs_desc)])
         raise DataError(f"price effectively dead: p({dead}) < 1e-12")
-    payload = (prices_desc, probs_desc, profile)
-    per_trial = _run_chunked(_budget_trials, payload, config)
+    rates = np.asarray(profile.rates)
+    ends = np.cumsum(rates)
+    total = float(ends[-1])
+    if profile.periodic and total <= 0.0:
+        raise DataError("profile exhausted: periodic profile with zero total rate")
+    paid = np.concatenate(([0], np.cumsum(prices_desc)))  # cost of the first j tasks
+
+    n_tasks = len(prices_desc)
+    cost = np.full(config.trials, paid[-1], dtype=np.int64)
+    remaining = np.zeros(config.trials, dtype=np.int64)
+    completion = np.full(config.trials, np.nan)
+    workers = np.empty(config.trials, dtype=np.int64)
+    for rng, lo, hi in _blocks(config, max(1, min(_BLOCK, _BLOCK_CELLS // n_tasks))):
+        quota = np.cumsum(rng.geometric(probs_desc, size=(hi - lo, n_tasks)), axis=1)
+        need = quota[:, -1]
+        workers[lo:hi] = need
+        if profile.periodic:
+            horizon = int(need.max()) * len(rates) / total
+            if horizon > 5e6:
+                raise CapacityError(
+                    f"simulation horizon exceeded: ~{horizon:.3g} buckets needed "
+                    f"to see {int(need.max())} arrivals"
+                )
+            periods, r = np.divmod(rng.standard_gamma(need), total)
+            completion[lo:hi] = periods * profile.span_seconds + _seconds_into(
+                r, rates, ends, profile.bucket_seconds
+            )
+            continue
+        count = rng.poisson(total, size=hi - lo)
+        ok = count >= need
+        at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
+        completion[lo:hi][ok] = _seconds_into(at, rates, ends, profile.bucket_seconds)
+        short = ~ok
+        done = np.sum(quota[short] <= count[short, None], axis=1)
+        cost[lo:hi][short] = paid[done]
+        remaining[lo:hi][short] = n_tasks - done
+        workers[lo:hi][short] = count[short]
     descriptor = "allocation:" + ",".join(
         f"{c}x{k}" for c, k in sorted(entries)
     )
-    return SimulationReport(
-        strategy_descriptor=descriptor, config=config, per_trial=per_trial
-    )
+    return SimulationReport(descriptor, config, cost, remaining, completion, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +397,7 @@ def simulate_choice_model(
         raise ValueError("market_size must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = _trial_rng(seed, 0)
+    rng = _rng(seed, 0)
     mu_others = rng.standard_normal(market_size - 1)
     sigma = rng.random(market_size)  # index 0 is our task
     out = []
@@ -453,23 +423,9 @@ def simulate_choice_model(
 
 def config_to_dict(config: SimulationConfig) -> dict:
     return {
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": int(config.trials),
+        "seed": int(config.seed),
         "parallel": config.parallel,
-    }
-
-
-def _agg_to_dict(agg: Aggregates) -> dict:
-    return {
-        "mean_cost": agg.mean_cost,
-        "se_cost": agg.se_cost,
-        "mean_remaining": agg.mean_remaining,
-        "se_remaining": agg.se_remaining,
-        "completion_rate": agg.completion_rate,
-        "mean_completion_seconds": agg.mean_completion_seconds,
-        "se_completion_seconds": agg.se_completion_seconds,
-        "mean_workers": agg.mean_workers,
-        "se_workers": agg.se_workers,
     }
 
 
@@ -478,18 +434,18 @@ def report_to_dict(report: SimulationReport, include_per_trial: bool = False) ->
         "schema_version": SCHEMA_VERSION,
         "strategy_descriptor": report.strategy_descriptor,
         "config": config_to_dict(report.config),
-        "aggregates": _agg_to_dict(report.aggregates()),
+        "aggregates": asdict(report.aggregates()),
     }
     if include_per_trial:
         rows = []
-        for o in report.per_trial:
+        for cost, remaining, done, workers in report._rows():
             row = {
-                "total_cost": o.total_cost,
-                "remaining_tasks": o.remaining_tasks,
-                "completion_time_seconds": o.completion_seconds,
+                "total_cost": cost,
+                "remaining_tasks": remaining,
+                "completion_time_seconds": done,
             }
-            if o.workers is not None:
-                row["workers"] = o.workers
+            if workers is not None:
+                row["workers"] = workers
             rows.append(row)
         doc["per_trial"] = rows
     return doc
@@ -500,6 +456,5 @@ def write_trials_csv(report: SimulationReport, path: str) -> None:
     the trial never completed)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trial,cost_cents,remaining,completion_seconds\n")
-        for i, o in enumerate(report.per_trial):
-            done = "" if o.completion_seconds is None else repr(o.completion_seconds)
-            fh.write(f"{i},{o.total_cost},{o.remaining_tasks},{done}\n")
+        for i, (cost, remaining, done, _) in enumerate(report._rows()):
+            fh.write(f"{i},{cost},{remaining},{'' if done is None else repr(done)}\n")

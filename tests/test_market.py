@@ -203,6 +203,14 @@ class TestLogisticAcceptance:
         assert 0.0 < model.probability(0.0) < 1.0
         assert model.probability(1e9) == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_finite_price_rejected(self):
+        # the +-700 clamp must not turn NaN into a tiny probability
+        for mass in (10.0, 0.0):
+            model = LogisticAcceptance(scale_s=2.0, bias_b=5.0, market_mass_m=mass)
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    model.probability(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LogisticAcceptance(scale_s=0.0, bias_b=0.0, market_mass_m=1.0)

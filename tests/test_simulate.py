@@ -187,12 +187,13 @@ class TestSimulateBudget:
     def test_worker_count_matches_closed_form(self):
         model = TabulatedAcceptance({3: 0.4, 6: 0.8})
         profile = ArrivalProfile(60, (5.0,), periodic=True)
-        entries = ((6, 3), (3, 2))
-        rep = simulate_budget(
-            entries, profile, model, SimulationConfig(trials=10000, seed=21))
-        ag = rep.aggregates()
-        want = 3 / 0.8 + 2 / 0.4
-        assert abs(ag.mean_workers - want) <= 3 * ag.se_workers
+        # the second allocation has so many tasks that a block holds fewer trials
+        for entries in (((6, 3), (3, 2)), ((6, 300), (3, 200))):
+            rep = simulate_budget(
+                entries, profile, model, SimulationConfig(trials=10000, seed=21))
+            ag = rep.aggregates()
+            want = sum(k / model.probability(c) for c, k in entries)
+            assert abs(ag.mean_workers - want) <= 3 * ag.se_workers
 
     def test_higher_prices_are_taken_first(self):
         # exhaust a non-periodic profile so trials stop mid-allocation; any
@@ -212,12 +213,64 @@ class TestSimulateBudget:
                 assert t.completion_seconds is None
         assert saw_partial
 
+    def test_periodic_time_change_skips_zero_rate_buckets(self):
+        # one task at p = 1: the completion time is the first arrival, so
+        # Pr(done by t) = 1 - exp(-Lambda(t)).  Bins: the two live buckets of
+        # periods 0..2, then the tail; the dead buckets hold no probability.
+        profile = ArrivalProfile(100, (0.0, 0.9, 0.0, 0.3, 0.0), periodic=True)
+        trials = 20000
+        rep = simulate_budget(
+            ((4, 1),), profile, TabulatedAcceptance({4: 1.0}),
+            SimulationConfig(trials=trials, seed=17))
+        t = rep.completion
+        assert not np.any(np.isnan(t))
+        bucket = (t // 100) % 5
+        assert not np.any(np.isin(bucket, (0, 2, 4)) & (t % 100 > 0))
+        period, within = np.divmod(t, 500)
+        observed = np.bincount(
+            np.minimum(2 * period + (within >= 300), 6).astype(int), minlength=7)
+        edges = np.array([0.0, 0.9, 1.2, 2.1, 2.4, 3.3, 3.6, np.inf])
+        expected = trials * -np.diff(np.exp(-edges))
+        assert np.sum((observed - expected) ** 2 / expected) < CHI2_999_DF6
+
+    def test_non_periodic_completion_rate_is_poisson_tail(self):
+        # k tasks at p = 1 finish by time t iff the profile brings at least k
+        # arrivals by then: Pr = Pr(Pois(Lambda(t)) >= k)
+        profile = ArrivalProfile(60, (1.0, 0.0, 2.5), periodic=False)
+        k, trials = 4, 20000
+        rep = simulate_budget(
+            ((3, k),), profile, TabulatedAcceptance({3: 1.0}),
+            SimulationConfig(trials=trials, seed=29))
+
+        def tail(lam):
+            return 1.0 - sum(math.exp(-lam) * lam**j / math.factorial(j) for j in range(k))
+
+        want = tail(3.5)
+        se = math.sqrt(want * (1.0 - want) / trials)
+        assert abs(rep.aggregates().completion_rate - want) <= 3 * se
+        t = rep.completion[~np.isnan(rep.completion)]
+        assert np.all((t >= 0) & (t <= 180))
+        assert not np.any((t > 60) & (t < 120))
+        for seconds, lam in ((60, 1.0), (150, 2.25)):
+            want = tail(lam)
+            se = math.sqrt(want * (1.0 - want) / trials)
+            assert abs(np.sum(t <= seconds) / trials - want) <= 3 * se
+
     def test_capacity_guard(self):
         model = TabulatedAcceptance({1: 0.001})
         profile = ArrivalProfile(3600, (0.0001,), periodic=True)
         with pytest.raises(CapacityError):
             simulate_budget(
                 ((1, 10),), profile, model, SimulationConfig(trials=2, seed=1))
+
+    def test_unsimulable_inputs_rejected(self):
+        model = TabulatedAcceptance({1: 1e-13, 2: 0.5})
+        with pytest.raises(DataError):  # a periodic profile with no arrivals
+            simulate_budget(((2, 2),), ArrivalProfile(60, (0.0, 0.0), periodic=True),
+                            model, SimulationConfig(trials=2, seed=1))
+        with pytest.raises(DataError):  # a price nobody accepts
+            simulate_budget(((1, 1),), ArrivalProfile(60, (1.0,), periodic=True),
+                            model, SimulationConfig(trials=2, seed=1))
 
     def test_empty_allocation_rejected(self):
         model = TabulatedAcceptance({1: 0.5})
@@ -412,3 +465,12 @@ class TestReportOutput:
             SimulationConfig(trials=0, seed=1)
         with pytest.raises(ValueError):
             SimulationConfig(trials=10, seed=-1)
+        for trials, seed in ((10.5, 1), (10.0, 1), (True, 1), ("10", 1),
+                             (10, 1.5), (10, False), (10, None)):
+            with pytest.raises(ValueError):
+                SimulationConfig(trials=trials, seed=seed)
+        for price in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError):
+                FixedPrice(price)
+        assert SimulationConfig(trials=np.int64(10), seed=np.uint32(1)).trials == 10
+        assert FixedPrice(np.int64(2)).price == 2
