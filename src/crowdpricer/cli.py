@@ -16,7 +16,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
 from . import __version__
 from .budget import BudgetProblem, solve_static_exact, solve_static_lp
@@ -90,11 +92,14 @@ _CORE_PROBLEM_FLAGS = (
 
 
 def _digest_file(path: str, digests: dict[str, str]) -> None:
+    digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    digests[path] = digest.hexdigest()
 
 
 def _read_json(path: str, digests: dict[str, str]) -> dict:
@@ -127,12 +132,28 @@ def _manifest(args: argparse.Namespace, digests: dict[str, str]) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write doc as indented JSON with sorted keys and a final newline,
+    streamed from the encoder so the whole text is never built.  A file is
+    written under a temporary name beside it and renamed into place, so an
+    encoding error leaves neither a partial document nor a clobbered one."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        return
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(out)}.", suffix=".tmp", dir=os.path.dirname(out) or "."
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _say(args: argparse.Namespace, line: str) -> None:

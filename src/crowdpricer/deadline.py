@@ -34,6 +34,7 @@ from .market import (
     AcceptanceModel,
     ArrivalProfile,
     PriceGrid,
+    TabulatedAcceptance,
     grid_from_dict,
     grid_to_dict,
     model_from_dict,
@@ -49,6 +50,11 @@ SCHEMA_VERSION = 1
 # relative slack when deciding that two expected costs tie; ties break to the
 # lowest price
 _TIE_REL = 1e-12
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,8 @@ class DeadlineProblem:
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("n_tasks", "n_intervals", "interval_seconds", "start_offset_seconds"):
+            _require_int(name, getattr(self, name))
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.n_intervals < 1:
@@ -86,6 +94,13 @@ class DeadlineProblem:
             raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
         if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
             raise ValueError("existence_alpha must be finite and >= 0")
+        if isinstance(self.model, TabulatedAcceptance):
+            missing = [c for c in self.grid.prices() if c not in self.model.entries]
+            if missing:
+                raise ValueError(
+                    f"tabulated model has no probability for {len(missing)} grid "
+                    f"price(s), the first being {missing[0]}"
+                )
         if self.penalty is None:
             object.__setattr__(self, "penalty", 10.0 * self.grid.max_price)
         if not (self.penalty >= 0 and np.isfinite(self.penalty)):

@@ -23,21 +23,17 @@ from .deadline import (
     DeadlinePolicy,
     DeadlineProblem,
     PolicyEvaluation,
-    evaluate_policy_exact,
+    _require_int,
+    evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
 from .errors import CapacityError, DataError, InfeasibleError
-from .market import AcceptanceModel, ArrivalProfile, TabulatedAcceptance
+from .market import AcceptanceModel, ArrivalProfile, TabulatedAcceptance, poisson_tables
 
 SCHEMA_VERSION = 1
 
 _BLOCK = 1024  # trials per block
 _BLOCK_CELLS = 1 << 18  # bound on trials x tasks in one budget block
-
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -299,9 +295,23 @@ def constant_price_policy(problem: DeadlineProblem, price: int) -> DeadlinePolic
 
 
 def evaluate_fixed_price(problem: DeadlineProblem, price: int) -> PolicyEvaluation:
-    """Exact outcome distribution summary of a constant price, by the
-    forward evaluator (not sampling)."""
-    return evaluate_policy_exact(problem, constant_price_policy(problem, price))
+    """Exact outcome of posting a constant price, in closed form.
+
+    At one price the pickups over the whole horizon are Pois(mu), mu the
+    total expected arrivals times p(price), and the batch completes
+    min(pickups, N) tasks: what evaluate_policy_exact gives for
+    constant_price_policy, from one Poisson row instead of a forward pass.
+    Pr(any remaining) is summed over the lower tail, not taken as
+    1 - Pr(Pois >= N), which leaves about 1e-11 where the answer is 0."""
+    n_max = problem.n_tasks
+    mu = float(np.sum(problem.interval_rates())) * problem.model.probability(int(price))
+    pmf = poisson_tables(np.array([mu]), n_max)[0][0]  # Pr(k pickups), k < N
+    remaining = float(np.dot(n_max - np.arange(n_max), pmf))
+    return PolicyEvaluation(
+        expected_cost=int(price) * (n_max - remaining),
+        expected_remaining=remaining,
+        pr_any_remaining=float(np.sum(pmf)),
+    )
 
 
 def completion_probability_fixed(problem: DeadlineProblem, price: int) -> float:

@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crowdpricer
+import crowdpricer.cli as cli
 import crowdpricer.deadline as deadline
 import crowdpricer.estimation as estimation
 import crowdpricer.simulate as simulate
@@ -462,3 +464,62 @@ class TestManifests:
         for fname, digest in man["input_digests"].items():
             want = hashlib.sha256((ws / fname).read_bytes()).hexdigest()
             assert digest == want
+
+
+class TestWriter:
+    """cli._emit streams the encoder's output: the bytes of json.dumps, with
+    no full text in memory and no partial file on an encoding error."""
+
+    @pytest.fixture(scope="class")
+    def policy_doc(self):
+        problem = crowdpricer.DeadlineProblem(
+            n_tasks=700, n_intervals=144, interval_seconds=600,
+            profile=crowdpricer.ArrivalProfile(600, (3.0,), periodic=True),
+            model=crowdpricer.LogisticAcceptance(15.0, -0.39, 2000.0),
+            grid=crowdpricer.PriceGrid(0, 100))
+        rng = np.random.default_rng(3)
+        policy = deadline.DeadlinePolicy(
+            price=rng.integers(0, 101, (701, 144)), opt=rng.random((701, 145)) * 1e4,
+            problem_digest=deadline.problem_digest(problem))
+        doc = deadline.policy_to_dict(problem, policy)
+        doc["manifest"] = {"command": "solve-deadline", "input_digests": {}}
+        return doc
+
+    @staticmethod
+    def expected(doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_file_bytes_and_mode_match_a_plain_write(self, policy_doc, tmp_path):
+        out = tmp_path / "pol.json"
+        cli._emit(policy_doc, str(out))
+        assert out.read_bytes() == self.expected(policy_doc).encode()
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "pol.json"]
+
+    def test_stdout_bytes_match(self, capsys):
+        doc = {"b": [1, 2.5, None], "a": {"z": "é", "y": []}}
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == self.expected(doc)
+
+    def test_peak_memory_is_independent_of_document_size(self, policy_doc, tmp_path):
+        # the whole text of this document is about 3.5 MB
+        tracemalloc.start()
+        try:
+            cli._emit(policy_doc, str(tmp_path / "pol.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_encoding_error_keeps_the_existing_file(self, tmp_path):
+        out = tmp_path / "pol.json"
+        out.write_bytes(b'{"old": true}\n')
+        # sorted keys put the long list first, so the encoder has written
+        # well past one buffer when it meets the object
+        doc = {"data": list(range(50_000)), "manifest": {"bad": object()}}
+        with pytest.raises(TypeError):
+            cli._emit(doc, str(out))
+        assert out.read_bytes() == b'{"old": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["pol.json"]

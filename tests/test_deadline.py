@@ -432,6 +432,19 @@ class TestProblemValidation:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 small_problem(existence_alpha=bad)
+        for name in ("n_tasks", "n_intervals", "interval_seconds", "start_offset_seconds"):
+            for bad in (600.5, 6.0, True, "6", None):
+                with pytest.raises(ValueError, match=name):
+                    small_problem(**{name: bad})
+        assert small_problem(n_tasks=np.int64(6), interval_seconds=np.int32(600)).n_tasks == 6
+        # a grid price missing from a tabulated model is caught when the
+        # problem is built, not partway through a solve
+        sparse = TabulatedAcceptance({c: 0.1 + 0.1 * c for c in (0, 1, 3, 4, 5, 6, 7, 8)})
+        with pytest.raises(ValueError, match="grid price.*2"):
+            small_problem(model=sparse)
+        with pytest.raises(ValueError, match="grid price"):
+            small_problem(grid=PriceGrid(0, 9))
+        assert small_problem(grid=PriceGrid(2, 8, step=3)).grid.max_price == 8
 
     def test_offset_shifts_rates(self):
         profile = ArrivalProfile(600, (2.0, 3.5, 1.0, 2.5), periodic=True)

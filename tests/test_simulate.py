@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crowdpricer import (
     ArrivalProfile,
@@ -345,6 +347,59 @@ class TestBaselineFixedPrice:
         assert ev_fixed.expected_cost == pytest.approx(ev_policy.expected_cost, abs=1e-12)
         assert ev_fixed.expected_remaining == pytest.approx(
             ev_policy.expected_remaining, abs=1e-12)
+        assert ev_fixed.pr_any_remaining == pytest.approx(
+            ev_policy.pr_any_remaining, abs=1e-12)
+
+    def test_top_price_leaves_nothing_remaining(self, day_problem):
+        # at the top price of the day problem Pr(any remaining) is below
+        # 1e-300; 1 - Pr(Pois >= N) would give about 3e-11
+        ev = evaluate_fixed_price(day_problem, day_problem.grid.max_price)
+        assert ev.pr_any_remaining < 1e-300
+        assert ev.expected_remaining < 1e-300
+        assert ev.expected_cost == day_problem.n_tasks * day_problem.grid.max_price
+
+
+@st.composite
+def fixed_price_problems(draw):
+    """Deadline problems over the closed form's whole domain: zero-rate
+    intervals, periodic or finite profiles, start offsets, both models."""
+    n_intervals = draw(st.integers(1, 24))
+    interval_seconds = draw(st.sampled_from([300, 600, 1200]))
+    offset = draw(st.integers(0, 6)) * 300
+    periodic = draw(st.booleans())
+    need = -(-(offset + n_intervals * interval_seconds) // 600)  # buckets covered
+    n_buckets = draw(st.integers(1, 30)) if periodic else need + draw(st.integers(0, 3))
+    rate = st.one_of(
+        st.just(0.0), st.floats(0.0, 3000.0), st.floats(0.0, 3.0), st.floats(0.0, 1e-6))
+    rates = draw(st.lists(rate, min_size=n_buckets, max_size=n_buckets))
+    max_price = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        probs = sorted(draw(st.lists(
+            st.floats(1e-6, 1.0), min_size=max_price + 1, max_size=max_price + 1)))
+        model = TabulatedAcceptance(dict(enumerate(probs)))
+    else:
+        model = LogisticAcceptance(
+            scale_s=draw(st.floats(0.5, 30.0)),
+            bias_b=draw(st.floats(-5.0, 5.0)),
+            market_mass_m=draw(st.floats(0.0, 5000.0)))
+    return DeadlineProblem(
+        n_tasks=draw(st.integers(1, 300)), n_intervals=n_intervals,
+        interval_seconds=interval_seconds,
+        profile=ArrivalProfile(600, tuple(rates), periodic=periodic),
+        model=model, grid=PriceGrid(0, max_price), penalty=10.0 * max(max_price, 1),
+        start_offset_seconds=offset, epsilon=0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fixed_price_problems())
+def test_closed_form_matches_forward_evaluation(problem):
+    for price in problem.grid.prices():
+        closed = evaluate_fixed_price(problem, price)
+        forward = evaluate_policy_exact(problem, constant_price_policy(problem, price))
+        for field in ("expected_cost", "expected_remaining", "pr_any_remaining"):
+            got, want = getattr(closed, field), getattr(forward, field)
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (price, field, got, want)
 
 
 class TestPriceFloor:
