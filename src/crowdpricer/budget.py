@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DataError, InfeasibleError
-from .market import AcceptanceModel, PriceGrid
+from .market import AcceptanceModel, PriceGrid, _require_int
 
 # below this acceptance probability a price is treated as unusable: the
 # expected arrivals 1/p stops being meaningful at any realistic scale
@@ -36,6 +36,8 @@ class BudgetProblem:
     mean_rate: float  # worker arrivals per hour, for latency conversion
 
     def __post_init__(self) -> None:
+        _require_int("n_tasks", self.n_tasks)
+        _require_int("budget", self.budget)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.budget < 0:

@@ -12,7 +12,6 @@ instance, 5 anything else.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -24,7 +23,7 @@ from . import __version__
 from .budget import BudgetProblem, solve_static_exact, solve_static_lp
 from .deadline import (
     DeadlineProblem,
-    calibrate_penalty,
+    _calibrated_solve,
     evaluate_policy_exact,
     policy_from_dict,
     policy_to_dict,
@@ -32,7 +31,6 @@ from .deadline import (
     problem_to_dict,
     solve_efficient,
     solve_simple,
-    with_chosen_penalty,
 )
 from .errors import CrowdPricerError, DataError, InfeasibleError
 from .estimation import (
@@ -41,6 +39,7 @@ from .estimation import (
     fit_wage_utility,
     load_arrival_csv,
     load_observations_csv,
+    read_csv_rows,
     write_arrival_csv,
 )
 from .market import (
@@ -181,28 +180,14 @@ def _parse_acceptance_triple(text: str) -> LogisticAcceptance:
 
 def _load_acceptance_table(path: str) -> TabulatedAcceptance:
     entries: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for row_no, row in read_csv_rows(path, ["price_cents", "probability"]):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["price_cents", "probability"]:
-            raise DataError(
-                f"{path}: row 1: header must be 'price_cents,probability'"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: row {row_no}: expected 2 fields")
-            try:
-                c, p = int(row[0]), float(row[1])
-            except ValueError:
-                raise DataError(f"{path}: row {row_no}: bad numeric field") from None
-            if c in entries:
-                raise DataError(f"{path}: row {row_no}: duplicate price {c}")
-            entries[c] = p
+            c, p = int(row[0]), float(row[1])
+        except ValueError:
+            raise DataError(f"{path}: row {row_no}: bad numeric field") from None
+        if c in entries:
+            raise DataError(f"{path}: row {row_no}: duplicate price {c}")
+        entries[c] = p
     try:
         return TabulatedAcceptance(entries=entries)
     except ValueError as exc:
@@ -286,17 +271,18 @@ def _cmd_solve_deadline(args: argparse.Namespace) -> int:
     solver = solve_simple if args.solver == "simple" else solve_efficient
     calibration = None
     if args.bound is not None:
-        penalty, achieved = calibrate_penalty(
-            problem, args.bound, tolerance=args.bound_tol, solver=solver
+        # the last accepted probe is the answer: no second solve or evaluation
+        achieved, problem, policy, ev = _calibrated_solve(
+            problem, args.bound, args.bound_tol, solver
         )
-        problem = with_chosen_penalty(problem, penalty)
         calibration = {
             "bound": args.bound,
             "tolerance": args.bound_tol,
             "achieved": achieved,
         }
-    policy = solver(problem)
-    ev = evaluate_policy_exact(problem, policy)
+    else:
+        policy = solver(problem)
+        ev = evaluate_policy_exact(problem, policy)
     doc = policy_to_dict(problem, policy)
     doc["manifest"] = _manifest(args, digests)
     doc["summary"] = {

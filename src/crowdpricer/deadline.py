@@ -5,14 +5,18 @@ interval t completes s ~ Pois(lambda_t * p(c)) tasks (capped at n); each
 completion pays c; tasks remaining at the deadline pay a penalty.  Backward
 induction over t yields the cost-to-go matrix opt and the price matrix.
 
-Both solvers read one set of Poisson tables per time slice (built by
-``market.poisson_tables``) and apply the same lowest-price tie rule:
+Both solvers, the exact evaluator and ``transition_distribution`` read
+their transition tables from one routine, and both solvers apply the same
+lowest-price tie rule:
 
 * ``solve_simple`` computes every price's cost one state at a time (the
   reference);
 * ``solve_efficient`` scans every price for all states at once, as one
   convolution of the next slice's costs with each price's pmf head.  The
   scan is exact: it assumes nothing about how prices vary with n.
+
+The posted costs then come from one shared pass, one convolution per run of
+states that post the same price, so both solvers write the same opt bits.
 
 Transition tails are truncated at the smallest s0 with
 Pr(Pois >= s0) < epsilon; the dropped mass is never renormalized, which
@@ -35,6 +39,7 @@ from .market import (
     ArrivalProfile,
     PriceGrid,
     TabulatedAcceptance,
+    _require_int,
     grid_from_dict,
     grid_to_dict,
     model_from_dict,
@@ -42,7 +47,7 @@ from .market import (
     poisson_tables,
     profile_from_dict,
     profile_to_dict,
-    truncation_threshold,
+    truncation_threshold,  # noqa: F401  (re-exported)
 )
 
 SCHEMA_VERSION = 1
@@ -50,11 +55,6 @@ SCHEMA_VERSION = 1
 # relative slack when deciding that two expected costs tie; ties break to the
 # lowest price
 _TIE_REL = 1e-12
-
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,56 +171,51 @@ def transition_distribution(
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be a probability")
+    if not (0.0 <= epsilon < 1.0):
+        raise ValueError("epsilon must be in [0, 1)")
     mu = lambda_t * p
     if mu == 0.0:
         return [(0, 1.0)]
-    head = n if epsilon == 0.0 else min(n, truncation_threshold(mu, epsilon))
-    pmf, tails = poisson_tables(np.array([mu]), n)
-    out = [(s, float(q)) for s, q in enumerate(pmf[0, :head])]
+    pmf, tails, caps, _ = _slice_tables(np.array([mu]), n, epsilon)
+    out = [(s, float(q)) for s, q in enumerate(pmf[0, : caps[0]])]
     if tails[0, n] > 0.0:
         out.append((n, float(tails[0, n])))
     return out
 
 
 def _slice_tables(
-    problem: DeadlineProblem, mus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transition tables of one time slice, one row per posted mean.
+    mus: np.ndarray, n_max: int, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transition tables out of states n <= N = n_max, one row per mean.
 
-    Returns (pmf, tails, caps): pmf[j, s] for s < N, zeroed from
-    cap_j = min(N, s0_j) on; tails[j, n] = Pr(Pois >= n) for n = 0..N; and
-    the caps.  One kernel call serves the tails and the truncation scan.
+    Returns (pmf, tails, caps, spend): pmf[j, s] for s < N, zeroed from
+    cap_j = min(N, s0_j) on (eps = 0 keeps the full support); tails[j, n] =
+    Pr(Pois >= n) for n = 0..N; the caps; and the expected completions
+    spend[j, n-1] = sum_{s<n} s * pmf[j, s] + n * tails[j, n], not yet
+    multiplied by a price.  One kernel call serves every table.
     """
-    n_max, eps = problem.n_tasks, problem.epsilon
     floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
     pmf, tails = poisson_tables(mus, n_max, floor)
     below = tails < eps  # never true when eps == 0
     below[:, n_max] = True  # so the first True is at min(N, s0)
     caps = below.argmax(axis=1)
     pmf[np.arange(n_max) >= caps[:, None]] = 0.0
-    return pmf, tails, caps
-
-
-def _state_cost(
-    pmf_j: np.ndarray, cap: int, spend_j: np.ndarray, n: int, opt_next: np.ndarray
-) -> float:
-    """Expected cost of one price at state n: the continuation
-    sum_{s < min(n, cap)} pmf[s] * opt_next[n - s] plus the reward spend.
-
-    The reversed view keeps np.dot on its plain loop in order of s, so the
-    value does not depend on where the arrays sit in memory."""
-    head = min(n, cap)
-    return float(np.dot(pmf_j[:head], opt_next[n : n - head : -1])) + spend_j[n - 1]
+    spend = np.cumsum(np.arange(n_max) * pmf, axis=1)
+    spend += np.arange(1, n_max + 1) * tails[:, 1:]
+    return pmf, tails, caps, spend
 
 
 def _loop_costs(pmf, caps, spend, opt_next) -> np.ndarray:
     """Every price's cost (rows) at every state n = 1..N (columns), one
-    state and one price at a time."""
+    state and one price at a time: the continuation
+    sum_{s < min(n, cap)} pmf[s] * opt_next[n - s] plus the reward spend."""
     n_max = pmf.shape[1]
     costs = np.empty((len(pmf), n_max))
     for n in range(1, n_max + 1):
-        for j in range(len(pmf)):
-            costs[j, n - 1] = _state_cost(pmf[j], caps[j], spend[j], n, opt_next)
+        for j, cap in enumerate(caps):
+            head = min(n, cap)
+            cont = np.dot(pmf[j, :head], opt_next[n : n - head : -1])
+            costs[j, n - 1] = cont + spend[j, n - 1]
     return costs
 
 
@@ -240,8 +235,11 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
 
     slice_costs gives every grid price's cost at every state n >= 1; each
     state posts the lowest price whose cost ties the minimum (1e-12
-    relative).  The posted price's cost is then taken from _state_cost, so
-    every solver writes the same opt bits for the same prices.
+    relative).  One pass that both solvers share then computes the posted
+    costs, so they write the same opt bits for the same prices: the states
+    n in [lo, hi) that post row j form a run, whose costs are one
+    convolution of opt_next[start:hi], start = max(0, lo - cap_j + 1),
+    with the pmf head.
     """
     n_max, horizon = problem.n_tasks, problem.n_intervals
     prices = np.array(problem.grid.prices(), dtype=np.int64)
@@ -250,22 +248,22 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
     opt = np.zeros((n_max + 1, horizon + 1))
     opt[:, horizon] = [problem.terminal_cost(n) for n in range(n_max + 1)]
     rates = problem.interval_rates()
-    s, n = np.arange(n_max), np.arange(1, n_max + 1)
     for t in range(horizon - 1, -1, -1):
-        pmf, tails, caps = _slice_tables(problem, rates[t] * acceptance)
-        # spend[j, n-1] = c_j * (sum_{s<n} s * pmf[j, s] + n * tails[j, n])
-        spend = np.cumsum(s * pmf, axis=1)
-        spend += n * tails[:, 1:]
+        pmf, _, caps, spend = _slice_tables(rates[t] * acceptance, n_max, problem.epsilon)
         spend *= prices[:, None]
         opt_next = opt[:, t + 1]
         costs = slice_costs(pmf, caps, spend, opt_next)
         best = costs.min(axis=0)
         choice = np.argmax(costs <= best + _TIE_REL * np.maximum(1.0, np.abs(best)), axis=0)
         price[1:, t] = prices[choice]
-        opt[1:, t] = [
-            _state_cost(pmf[j], caps[j], spend[j], k, opt_next)
-            for k, j in enumerate(choice, start=1)
-        ]
+        # run edges in states n; choice[n - 1] is the row state n posts
+        edges = np.concatenate(([1], np.flatnonzero(np.diff(choice)) + 2, [n_max + 1]))
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            j = choice[lo - 1]
+            cap = int(caps[j])
+            start = max(0, lo - cap + 1)
+            cont = np.convolve(opt_next[start:hi], pmf[j, :cap])[lo - start : hi - start]
+            opt[lo:hi, t] = cont + spend[j, lo - 1 : hi - 1]
     return DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
 
 
@@ -315,8 +313,7 @@ def evaluate_policy_exact(
     for t in range(horizon):
         posted = np.unique(policy.price[1:, t])
         mus = rates[t] * np.array([problem.model.probability(int(c)) for c in posted])
-        pmf, tails = poisson_tables(mus, n_max)
-        spend = np.cumsum(np.arange(n_max) * pmf, axis=1)
+        pmf, tails, _, spend = _slice_tables(mus, n_max, 0.0)
         rows = np.searchsorted(posted, policy.price[:, t])
         new = np.zeros(n_max + 1)
         new[0] = dist[0]
@@ -327,7 +324,7 @@ def evaluate_policy_exact(
             j, c = rows[n], int(policy.price[n, t])
             new[1 : n + 1] += mass * pmf[j, :n][::-1]
             new[0] += mass * tails[j, n]
-            cost += mass * c * (spend[j, n - 1] + n * tails[j, n])
+            cost += mass * c * spend[j, n - 1]
         dist = new
     remaining = float(np.dot(np.arange(n_max + 1), dist))
     pr_any = float(np.sum(dist[1:]))
@@ -336,13 +333,57 @@ def evaluate_policy_exact(
     )
 
 
-def with_chosen_penalty(problem: DeadlineProblem, penalty: float) -> DeadlineProblem:
-    """problem with a penalty the program chose (a calibration probe or its
-    result), without the warning meant for a user's penalty below
-    grid.max_price."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return replace(problem, penalty=penalty)
+def _calibrated_solve(
+    problem: DeadlineProblem, bound: float, tolerance: float, solver
+) -> tuple[float, DeadlineProblem, DeadlinePolicy, PolicyEvaluation]:
+    """calibrate_penalty's search.  Returns its last accepted probe as
+    (achieved, probe problem, policy, evaluation), so nothing is solved twice."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    if not (0.0 < tolerance < 1.0):
+        raise ValueError("tolerance must be in (0, 1)")
+
+    def achieved_at(pen: float):
+        # the program chose this penalty: no warning meant for a user's
+        # penalty below grid.max_price
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            probe = replace(problem, penalty=pen)
+        policy = solver(probe)
+        ev = evaluate_policy_exact(probe, policy)
+        # existence_alpha = 0 adds exactly 0.0
+        got = ev.expected_remaining + problem.existence_alpha * ev.pr_any_remaining
+        return got, probe, policy, ev
+
+    found = achieved_at(0.0)
+    if found[0] <= bound:
+        return found
+
+    hi = float(max(problem.grid.max_price, 1))
+    lo = 0.0
+    found = achieved_at(hi)
+    while found[0] > bound:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e9:
+            raise InfeasibleError(
+                f"bound infeasible: expected remaining still {found[0]:.6g} "
+                f"> {bound} at penalty 1e9"
+            )
+        found = achieved_at(hi)
+
+    for _ in range(64):
+        if found[0] > bound * (1.0 - tolerance):
+            break  # close enough under the bound
+        if hi - lo <= 1e-9 * max(1.0, hi):
+            break  # interval collapsed onto a jump of the achieved value
+        mid = 0.5 * (lo + hi)
+        at_mid = achieved_at(mid)
+        if at_mid[0] <= bound:
+            hi, found = mid, at_mid
+        else:
+            lo = mid
+    return found
 
 
 def calibrate_penalty(
@@ -358,47 +399,8 @@ def calibrate_penalty(
     bisection; stops when the achieved value lands within `tolerance`
     (relative) below the bound or the penalty interval collapses.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if not (0.0 < tolerance < 1.0):
-        raise ValueError("tolerance must be in (0, 1)")
-
-    def achieved_at(pen: float) -> float:
-        probe = with_chosen_penalty(problem, pen)
-        ev = evaluate_policy_exact(probe, solver(probe))
-        if problem.existence_alpha > 0:
-            return ev.expected_remaining + problem.existence_alpha * ev.pr_any_remaining
-        return ev.expected_remaining
-
-    got = achieved_at(0.0)
-    if got <= bound:
-        return 0.0, got
-
-    hi = float(max(problem.grid.max_price, 1))
-    lo = 0.0
-    achieved_hi = achieved_at(hi)
-    while achieved_hi > bound:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise InfeasibleError(
-                f"bound infeasible: expected remaining still {achieved_hi:.6g} "
-                f"> {bound} at penalty 1e9"
-            )
-        achieved_hi = achieved_at(hi)
-
-    for _ in range(64):
-        if achieved_hi > bound * (1.0 - tolerance):
-            break  # close enough under the bound
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break  # interval collapsed onto a jump of the achieved value
-        mid = 0.5 * (lo + hi)
-        got = achieved_at(mid)
-        if got <= bound:
-            hi, achieved_hi = mid, got
-        else:
-            lo = mid
-    return hi, achieved_hi
+    achieved, probe, _, _ = _calibrated_solve(problem, bound, tolerance, solver)
+    return probe.penalty, achieved
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,32 @@ class DerivedModel:
     derivation: dict
 
 
+def read_csv_rows(path: str, header: list[str]):
+    """Yield (row_no, fields) for each data row of a CSV file whose first row
+    is `header`, numbering rows from 1 at the header and skipping blank rows.
+    An empty file, another header or a row with another field count raises
+    DataError naming the file and the row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise DataError(
+                f"{path}: row 1: header must be "
+                f"'{','.join(header)}', got '{','.join(first)}'"
+            )
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # tolerate blank lines, such as a trailing one
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {row_no}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            yield row_no, row
+
+
 # ---------------------------------------------------------------------------
 # Arrival CSVs.
 
@@ -65,48 +91,33 @@ def load_arrival_csv(path: str, cumulative_snapshot: bool = False) -> ArrivalPro
     bucket's rate is the decrease between consecutive rows, clamped at 0
     (increases mean new postings, not negative completions).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    times: list[int] = []
+    counts: list[float] = []
+    for row_no, row in read_csv_rows(path, ARRIVAL_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ARRIVAL_HEADER:
+            t = int(row[0])
+        except ValueError:
             raise DataError(
-                f"{path}: row 1: header must be "
-                f"'{','.join(ARRIVAL_HEADER)}', got '{','.join(header)}'"
+                f"{path}: row {row_no}: t_seconds must be an integer, got '{row[0]}'"
+            ) from None
+        try:
+            count = float(row[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: row {row_no}: count must be a number, got '{row[1]}'"
+            ) from None
+        if t < 0:
+            raise DataError(f"{path}: row {row_no}: t_seconds must be non-negative")
+        if times and t <= times[-1]:
+            raise DataError(
+                f"{path}: row {row_no}: t_seconds must be strictly increasing"
             )
-        times: list[int] = []
-        counts: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate a trailing blank line
-            if len(row) != 2:
-                raise DataError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
-            try:
-                t = int(row[0])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {row_no}: t_seconds must be an integer, got '{row[0]}'"
-                ) from None
-            try:
-                count = float(row[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {row_no}: count must be a number, got '{row[1]}'"
-                ) from None
-            if t < 0:
-                raise DataError(f"{path}: row {row_no}: t_seconds must be non-negative")
-            if times and t <= times[-1]:
-                raise DataError(
-                    f"{path}: row {row_no}: t_seconds must be strictly increasing"
-                )
-            if not math.isfinite(count) or count < 0:
-                raise DataError(
-                    f"{path}: row {row_no}: count must be finite and non-negative"
-                )
-            times.append(t)
-            counts.append(count)
+        if not math.isfinite(count) or count < 0:
+            raise DataError(
+                f"{path}: row {row_no}: count must be finite and non-negative"
+            )
+        times.append(t)
+        counts.append(count)
     if len(times) < 2:
         raise DataError(f"{path}: need at least 2 rows to infer the bucket size")
     bucket = times[1] - times[0]
@@ -173,41 +184,26 @@ OBSERVATION_HEADER = ["wage_per_second", "workload_per_hour", "task_type"]
 
 
 def load_observations_csv(path: str) -> list[TaskGroupObservation]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    out = []
+    for row_no, row in read_csv_rows(path, OBSERVATION_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != OBSERVATION_HEADER:
+            wage = float(row[0])
+            workload = float(row[1])
+        except ValueError:
+            raise DataError(f"{path}: row {row_no}: bad numeric field") from None
+        if not (math.isfinite(wage) and wage >= 0):
             raise DataError(
-                f"{path}: row 1: header must be "
-                f"'{','.join(OBSERVATION_HEADER)}', got '{','.join(header)}'"
+                f"{path}: row {row_no}: wage_per_second must be finite and >= 0"
             )
-        out = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: row {row_no}: expected 3 fields, got {len(row)}")
-            try:
-                wage = float(row[0])
-                workload = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}: row {row_no}: bad numeric field") from None
-            if not (math.isfinite(wage) and wage >= 0):
-                raise DataError(
-                    f"{path}: row {row_no}: wage_per_second must be finite and >= 0"
-                )
-            if not (math.isfinite(workload) and workload > 0):
-                raise DataError(
-                    f"{path}: row {row_no}: workload_per_hour must be positive "
-                    f"(its log enters the fit)"
-                )
-            task_type = row[2].strip()
-            if not task_type:
-                raise DataError(f"{path}: row {row_no}: task_type must be non-empty")
-            out.append(TaskGroupObservation(wage, workload, task_type))
+        if not (math.isfinite(workload) and workload > 0):
+            raise DataError(
+                f"{path}: row {row_no}: workload_per_hour must be positive "
+                f"(its log enters the fit)"
+            )
+        task_type = row[2].strip()
+        if not task_type:
+            raise DataError(f"{path}: row {row_no}: task_type must be non-empty")
+        out.append(TaskGroupObservation(wage, workload, task_type))
     if not out:
         raise DataError(f"{path}: no observation rows")
     return out

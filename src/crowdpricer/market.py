@@ -19,6 +19,11 @@ import numpy as np
 from .errors import DataError
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrivalProfile:
     """Piecewise-constant worker arrival intensity.
@@ -34,6 +39,7 @@ class ArrivalProfile:
     _prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_int("bucket_seconds", self.bucket_seconds)
         if self.bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
         rates = tuple(float(r) for r in self.rates)
@@ -172,6 +178,8 @@ class PriceGrid:
     step: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("min_price", "max_price", "step"):
+            _require_int(name, getattr(self, name))
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.min_price < 0:

@@ -23,12 +23,17 @@ from .deadline import (
     DeadlinePolicy,
     DeadlineProblem,
     PolicyEvaluation,
-    _require_int,
     evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
 from .errors import CapacityError, DataError, InfeasibleError
-from .market import AcceptanceModel, ArrivalProfile, TabulatedAcceptance, poisson_tables
+from .market import (
+    AcceptanceModel,
+    ArrivalProfile,
+    TabulatedAcceptance,
+    _require_int,
+    poisson_tables,
+)
 
 SCHEMA_VERSION = 1
 

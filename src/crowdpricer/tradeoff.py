@@ -13,7 +13,7 @@ expected wait until completion:
   arrival takes 1/mean_rate hours, so the unit delay cost is alpha/mean_rate.
 
 The per-step term does not depend on n, so the optimal price is the same for
-every n and Opt grows linearly; the recurrence is still evaluated per n.
+every n and Opt(n) is the running sum of n copies of the minimal step cost.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
-from .market import AcceptanceModel, PriceGrid
+from .market import AcceptanceModel, PriceGrid, _require_int
 
 _TIE_REL = 1e-12
 
@@ -61,6 +61,7 @@ class TradeoffProblem:
     market: FixedRateMarket | ArrivalBasedMarket
 
     def __post_init__(self) -> None:
+        _require_int("n_tasks", self.n_tasks)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.alpha < 0 or not math.isfinite(self.alpha):
@@ -116,12 +117,9 @@ def solve_tradeoff(problem: TradeoffProblem) -> TradeoffSolution:
     v = float(np.min(step))
     thresh = v + _TIE_REL * max(1.0, abs(v))
     best = int(np.argmax(step <= thresh))  # lowest price achieving the minimum
-    grid_prices = list(problem.grid.prices())
-
     n_max = problem.n_tasks
-    prices = np.full(n_max + 1, problem.grid.min_price, dtype=np.int64)
-    values = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        prices[n] = grid_prices[best]
-        values[n] = values[n - 1] + step[best]
+    prices = np.full(n_max + 1, problem.grid.prices()[best], dtype=np.int64)
+    prices[0] = problem.grid.min_price
+    # cumsum adds in sequence, as the recurrence Opt(n) = Opt(n-1) + step does
+    values = np.concatenate(([0.0], np.cumsum(np.full(n_max, step[best]))))
     return TradeoffSolution(prices=prices, values=values)

@@ -221,6 +221,11 @@ class TestAllocationValidation:
         with pytest.raises(ValueError):
             BudgetProblem(n_tasks=2, budget=10, model=model,
                           grid=PriceGrid(1, 5), mean_rate=0.0)
+        for n_tasks, budget in ((2.5, 10), (True, 10), (2, 10.0), (2, math.nan),
+                                (2, math.inf), (2, "10")):
+            with pytest.raises(ValueError, match="must be an integer"):
+                BudgetProblem(n_tasks=n_tasks, budget=budget, model=model,
+                              grid=PriceGrid(1, 5), mean_rate=50.0)
 
     def test_latency_fields_populated(self):
         prob = BudgetProblem(

@@ -207,6 +207,40 @@ class TestSolveDeadline:
         assert r.returncode == 3
         assert "at least 2 rows" in r.stderr
 
+    def test_malformed_acceptance_table_exits_3(self, ws):
+        (ws / "dup.csv").write_text("price_cents,probability\n0,0.1\n1,0.2\n\n1,0.3\n")
+        (ws / "hdr.csv").write_text("price,probability\n0,0.1\n")
+        for name, row in (("dup.csv", "row 5: duplicate price 1"), ("hdr.csv", "row 1")):
+            flags = [name if f == "tab.csv" else f for f in PROB_FLAGS]
+            r = run_cli(ws, "solve-deadline", *flags)
+            assert r.returncode == 3, r.stderr
+            assert f"{name}: {row}" in r.stderr
+
+    def test_bound_reuses_the_last_probe(self, ws, monkeypatch):
+        """solve-deadline --bound writes the policy and evaluation of the
+        calibration's last accepted probe: one solve per probe, none after."""
+        calls = {"solve": 0, "probe_eval": 0, "cli_eval": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_efficient", counted("solve", deadline.solve_efficient))
+        monkeypatch.setattr(deadline, "evaluate_policy_exact",
+                            counted("probe_eval", deadline.evaluate_policy_exact))
+        monkeypatch.setattr(cli, "evaluate_policy_exact",
+                            counted("cli_eval", cli.evaluate_policy_exact))
+        monkeypatch.chdir(ws)
+        argv = ["solve-deadline", *PROB_FLAGS, "--bound", "0.5", "--out", "pol_reuse.json"]
+        assert cli.main(argv) == 0
+        assert calls["probe_eval"] >= 2
+        assert calls["solve"] == calls["probe_eval"]
+        assert calls["cli_eval"] == 0
+        summary = load(ws, "pol_reuse.json")["summary"]
+        assert summary["calibration"]["achieved"] == summary["expected_remaining"]
+
 
 class TestSimulate:
     def test_policy_report_shape(self, ws):

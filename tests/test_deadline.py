@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from crowdpricer import deadline
 from crowdpricer import (
     ArrivalProfile,
     DataError,
@@ -213,6 +214,34 @@ class TestSolveEfficient:
         b = solve_efficient(prob)
         assert np.array_equal(a.price, b.price)
         np.testing.assert_allclose(a.opt, b.opt, rtol=0, atol=1e-9)
+
+
+class TestPostedCosts:
+    def test_opt_is_the_loop_cost_of_the_posted_price(self):
+        """Both solvers take opt from one run-grouped pass; check it against
+        the one-state-at-a-time costs of _loop_costs, with runs of states
+        longer than their price's truncation cap among the cases."""
+        fuzz = np.random.default_rng(2014)
+        long_runs = 0
+        for eps in (0.0, 1e-9):
+            for _ in range(20):
+                prob = wide_rate_problem(fuzz, eps)
+                policy = solve_efficient(prob)
+                prices = np.array(prob.grid.prices())
+                accept = np.array([prob.model.probability(int(c)) for c in prices])
+                rates = prob.interval_rates()
+                states = np.arange(prob.n_tasks)
+                for t in range(prob.n_intervals):
+                    pmf, _, caps, spend = deadline._slice_tables(
+                        rates[t] * accept, prob.n_tasks, eps)
+                    costs = deadline._loop_costs(
+                        pmf, caps, spend * prices[:, None], policy.opt[:, t + 1])
+                    rows = np.searchsorted(prices, policy.price[1:, t])
+                    np.testing.assert_allclose(
+                        policy.opt[1:, t], costs[rows, states], rtol=1e-12, atol=0)
+                    for run in np.split(rows, np.flatnonzero(np.diff(rows)) + 1):
+                        long_runs += len(run) > caps[run[0]]
+        assert long_runs > 0
 
 
 class TestBellmanConsistency:

@@ -267,6 +267,10 @@ class TestPriceGrid:
             PriceGrid(0, 10, step=0)
         with pytest.raises(ValueError):
             PriceGrid(-2, 5)
+        for bad in ((0.5, 10.5), (True, 10), (0, 10, 1.0), (0, "10"), (0, None)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                PriceGrid(*bad)
+        assert list(PriceGrid(np.int64(2), np.int64(4)).prices()) == [2, 3, 4]
 
 
 class TestArrivalProfile:
@@ -326,6 +330,9 @@ class TestArrivalProfile:
             ArrivalProfile(bucket_seconds=60, rates=())
         with pytest.raises(ValueError):
             ArrivalProfile(bucket_seconds=60, rates=(1.0, -0.5))
+        for bad in (0.5, 60.0, True, "60"):
+            with pytest.raises(ValueError, match="bucket_seconds must be an integer"):
+                ArrivalProfile(bucket_seconds=bad, rates=(1.0,))
 
 
 class TestSerialization:

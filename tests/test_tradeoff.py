@@ -42,6 +42,14 @@ class TestLinearStructure:
         for n in range(1, 9):
             assert sol.values[n] == pytest.approx(n * unit, rel=1e-9)
 
+    def test_values_follow_the_recurrence_bit_for_bit(self):
+        sol = solve_tradeoff(arrival_problem(alpha=20.0, n_tasks=500))
+        want = [0.0]
+        for _ in range(500):
+            want.append(want[-1] + sol.values[1])  # Opt(n) = Opt(n-1) + step
+        assert sol.values.tolist() == want
+        assert sol.prices[0] == 0 and set(sol.prices[1:].tolist()) == {sol.prices[1]}
+
     def test_price_constant_across_backlog(self):
         sol = solve_tradeoff(arrival_problem(alpha=20.0))
         assert len(set(sol.prices[1:].tolist())) == 1
@@ -130,6 +138,11 @@ class TestValidation:
             TradeoffProblem(n_tasks=2, alpha=-1.0, model=model,
                             grid=PriceGrid(0, 1),
                             market=ArrivalBasedMarket(10.0))
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="n_tasks must be an integer"):
+                TradeoffProblem(n_tasks=bad, alpha=1.0, model=model,
+                                grid=PriceGrid(0, 1),
+                                market=ArrivalBasedMarket(10.0))
         with pytest.raises(ValueError):
             ArrivalBasedMarket(0.0)
         with pytest.raises(ValueError):
