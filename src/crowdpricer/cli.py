@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -42,6 +43,7 @@ from .estimation import (
     read_csv_rows,
     write_arrival_csv,
 )
+from .jsonstream import JsonStream
 from .market import (
     ArrivalProfile,
     LogisticAcceptance,
@@ -102,15 +104,29 @@ def _digest_file(path: str, digests: dict[str, str]) -> None:
 
 
 def _read_json(path: str, digests: dict[str, str]) -> dict:
-    _digest_file(path, digests)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object at the top level")
+    """The JSON object in `path`, decoded as `json.load` decodes it except
+    that each top-level member that is an array of equal-length lists of
+    numbers comes back as a 2-D numpy array (see `jsonstream`).  The file's
+    sha256 goes into `digests`."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            doc = JsonStream(path, fh, digest).document()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+    digests[path] = digest.hexdigest()
     return doc
+
+
+def _read_policy(path: str, digests: dict[str, str]):
+    """Problem and policy from the policy document in `path`."""
+    doc = _read_json(path, digests)
+    try:
+        return policy_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _manifest(args: argparse.Namespace, digests: dict[str, str]) -> dict:
@@ -388,7 +404,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         profile = _load_profile(args, digests)
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
-        problem, policy = policy_from_dict(_read_json(args.policy, digests))
+        problem, policy = _read_policy(args.policy, digests)
         non_profile_flags = any(
             getattr(args, attr) is not None
             for _, attr in _CORE_PROBLEM_FLAGS
@@ -458,9 +474,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         "simulation": None,
     }
     if args.compare_policy is not None:
-        other_problem, other_policy = policy_from_dict(
-            _read_json(args.compare_policy, digests)
-        )
+        other_problem, other_policy = _read_policy(args.compare_policy, digests)
         ours, theirs = problem_to_dict(problem), problem_to_dict(other_problem)
         for key in (
             "n_tasks",
@@ -922,6 +936,12 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # CLI boundary: report, do not traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
+    finally:
+        # an argparse parser is a web of reference cycles, so it waits for the
+        # cyclic collector; collect it here, so that callers that run many
+        # commands in one process do not hold a parser (~130 KB) per command
+        del parser, args
+        gc.collect()
 
 
 if __name__ == "__main__":

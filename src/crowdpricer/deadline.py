@@ -455,17 +455,31 @@ def policy_to_dict(problem: DeadlineProblem, policy: DeadlinePolicy) -> dict:
 
 
 def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
+    """Read a policy document.  `price` and `opt` may be nested lists, as
+    `policy_to_dict` writes them, or numpy rows or matrices; a matrix of the
+    policy's dtype is used as it is, not copied.  Every price must lie on
+    the problem's grid and every opt entry must be finite."""
     try:
         if int(d["schema_version"]) != SCHEMA_VERSION:
             raise DataError(f"unsupported schema_version {d['schema_version']}")
         problem = problem_from_dict(d["problem"])
-        policy = DeadlinePolicy(
-            price=np.array(d["price"], dtype=np.int64),
-            opt=np.array(d["opt"], dtype=np.float64),
-            problem_digest=problem_digest(problem),
-        )
+        price, opt = np.asarray(d["price"]), np.asarray(d["opt"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad policy document: {exc}") from exc
-    if policy.price.shape != (problem.n_tasks + 1, problem.n_intervals):
-        raise DataError("policy document: price matrix shape does not match problem")
+    rows, cols = problem.n_tasks + 1, problem.n_intervals
+    for name, m, shape in (("price", price, (rows, cols)), ("opt", opt, (rows, cols + 1))):
+        if m.dtype.kind not in "iuf" or m.shape != shape:
+            raise DataError(
+                f"policy document: {name} is not a {shape[0]}x{shape[1]} matrix "
+                f"of numbers, as the problem needs")
+    grid = problem.grid
+    with np.errstate(invalid="ignore"):  # NaN and inf prices are off the grid
+        on_grid = (price >= grid.min_price) & (price <= grid.max_price) & (
+            price % grid.step == grid.min_price % grid.step)
+    for name, m, ok, rule in (("price", price, on_grid, "is not on the price grid"),
+                              ("opt", opt, np.isfinite(opt), "is not finite")):
+        if not ok.all():
+            n, t = np.argwhere(~ok)[0]
+            raise DataError(f"policy document: {name} {m[n, t]} at (n={n}, t={t}) {rule}")
+    policy = DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
     return problem, policy

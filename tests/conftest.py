@@ -7,10 +7,16 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 import crowdpricer as cp
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example time limit.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # criterion number -> (description, outcome), filled by the makereport hook
 _ACCEPTANCE: dict[int, tuple[str, str]] = {}

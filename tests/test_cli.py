@@ -1,5 +1,6 @@
 """End-to-end command line checks, run through subprocess."""
 
+import functools
 import hashlib
 import json
 import math
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdpricer
 import crowdpricer.cli as cli
 import crowdpricer.deadline as deadline
 import crowdpricer.estimation as estimation
+import crowdpricer.jsonstream as jsonstream
 import crowdpricer.simulate as simulate
 from conftest import cli_env
 
@@ -500,24 +504,26 @@ class TestManifests:
             assert digest == want
 
 
+@pytest.fixture(scope="module")
+def policy_doc():
+    """A policy document on the grid of the benchmark's large workload."""
+    problem = crowdpricer.DeadlineProblem(
+        n_tasks=700, n_intervals=144, interval_seconds=600,
+        profile=crowdpricer.ArrivalProfile(600, (3.0,), periodic=True),
+        model=crowdpricer.LogisticAcceptance(15.0, -0.39, 2000.0),
+        grid=crowdpricer.PriceGrid(0, 100))
+    rng = np.random.default_rng(3)
+    policy = deadline.DeadlinePolicy(
+        price=rng.integers(0, 101, (701, 144)), opt=rng.random((701, 145)) * 1e4,
+        problem_digest=deadline.problem_digest(problem))
+    doc = deadline.policy_to_dict(problem, policy)
+    doc["manifest"] = {"command": "solve-deadline", "input_digests": {}}
+    return doc
+
+
 class TestWriter:
     """cli._emit streams the encoder's output: the bytes of json.dumps, with
     no full text in memory and no partial file on an encoding error."""
-
-    @pytest.fixture(scope="class")
-    def policy_doc(self):
-        problem = crowdpricer.DeadlineProblem(
-            n_tasks=700, n_intervals=144, interval_seconds=600,
-            profile=crowdpricer.ArrivalProfile(600, (3.0,), periodic=True),
-            model=crowdpricer.LogisticAcceptance(15.0, -0.39, 2000.0),
-            grid=crowdpricer.PriceGrid(0, 100))
-        rng = np.random.default_rng(3)
-        policy = deadline.DeadlinePolicy(
-            price=rng.integers(0, 101, (701, 144)), opt=rng.random((701, 145)) * 1e4,
-            problem_digest=deadline.problem_digest(problem))
-        doc = deadline.policy_to_dict(problem, policy)
-        doc["manifest"] = {"command": "solve-deadline", "input_digests": {}}
-        return doc
 
     @staticmethod
     def expected(doc):
@@ -557,3 +563,188 @@ class TestWriter:
             cli._emit(doc, str(out))
         assert out.read_bytes() == b'{"old": true}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["pol.json"]
+
+
+_NAN = object()
+
+
+def plain(value):
+    """value with numpy rows and matrices as lists and every NaN as `_NAN`,
+    so that == compares decoded documents."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return _NAN
+    return value
+
+
+def render(pairs, indent, ensure_ascii) -> bytes:
+    """The object json.dumps writes in the given layout, with the members in
+    the given order and any repeated keys kept."""
+    if indent is None:
+        dump = functools.partial(json.dumps, separators=(",", ":"), ensure_ascii=ensure_ascii)
+        text = "{" + ",".join(f"{dump(k)}:{dump(v)}" for k, v in pairs) + "}"
+    else:
+        dump = functools.partial(json.dumps, indent=indent, ensure_ascii=ensure_ascii)
+        pad = "\n" + " " * indent
+        text = "{" + ",".join(
+            f"{pad}{dump(k)}: {dump(v).replace(chr(10), pad)}" for k, v in pairs)
+        text += "\n}" if pairs else "}"
+    return (text + "\n").encode()
+
+
+# ints stay within 2**53, so a row that mixes them with floats converts exactly
+_scalars = (st.none() | st.booleans() | st.integers(-2**53, 2**53) | st.floats()
+            | st.text(max_size=6))
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+_matrices = st.one_of(
+    st.integers(0, 4).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-2**62, 2**62), min_size=cols, max_size=cols), max_size=4)),
+    st.integers(0, 4).flatmap(lambda cols: st.lists(
+        st.lists(st.floats(), min_size=cols, max_size=cols), max_size=4)),
+    st.lists(st.lists(st.integers(-9, 9) | st.floats(-9, 9), max_size=3), max_size=3),
+)
+_members = st.lists(st.tuples(
+    st.sampled_from(["price", "opt", "problem"]) | st.text(max_size=4),
+    _matrices | st.lists(st.floats(), max_size=4) | _values), max_size=4)
+
+
+class TestReader:
+    """cli._read_json decodes what json.load decodes, numbers in rows, from
+    chunks of any size, and places every error where json.loads does."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader") / "doc.json"
+
+    @staticmethod
+    def read(path, chunk, digests=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonstream, "READ_CHUNK", chunk)
+            return cli._read_json(str(path), {} if digests is None else digests)
+
+    def assert_reads_like_json_loads(self, path, data, chunk):
+        path.write_bytes(data)
+        try:  # json.load on a file opened as UTF-8 text
+            want = json.loads(data.decode())
+        except json.JSONDecodeError as exc:
+            message = f"{path}: not valid JSON: {exc}"
+        except UnicodeDecodeError:
+            message = f"{path}: not valid UTF-8"
+        else:
+            digests = {}
+            assert plain(self.read(path, chunk, digests)) == plain(want)
+            assert digests == {str(path): hashlib.sha256(data).hexdigest()}
+            return
+        with pytest.raises(crowdpricer.DataError) as info:
+            self.read(path, chunk)
+        assert str(info.value).startswith(message)
+
+    @settings(max_examples=25)
+    @given(pairs=_members, indent=st.sampled_from([None, 2, 4]),
+           ensure_ascii=st.booleans(), chunk=st.integers(1, 7))
+    def test_matches_json_loads_on_every_cut(self, path, pairs, indent, ensure_ascii, chunk):
+        data = render(pairs, indent, ensure_ascii)
+        self.assert_reads_like_json_loads(path, data, chunk)
+        for cut in range(len(data)):
+            self.assert_reads_like_json_loads(path, data[:cut], chunk)
+
+    @pytest.mark.parametrize("text", [
+        '{"a": 1} x', '{"a": 1}{}', '{"a": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "{1: 2}",
+        '{"a": [[1, 2] [3]]}', '{"a": [[1, 2],]}', '{"a": [[1, 2], [3, 4]] ]}',
+        '\ufeff{"a": 1}', "", "  \n ", '\n\n  {"a":\n [[1, 2],\n [3, tru]]}',
+        '{"a": "\\ud834\\udd1e é", "a": [[NaN, -Infinity], [1e3, -0.0]]}',
+        '{"a": [], "b": [[]], "c": [[], []], "d": [1, [2]], "e": [[true]]}',
+        '{"a": 1.5e+300, "b": [2.5, -1E-7, 0.25], "c": -12}',
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_structure_and_errors_match_json_loads(self, path, text, chunk):
+        self.assert_reads_like_json_loads(path, text.encode(), chunk)
+
+    def test_a_top_level_value_that_is_not_an_object_is_rejected(self, path):
+        path.write_text("[1, 2]")
+        with pytest.raises(crowdpricer.DataError, match="expected a JSON object"):
+            cli._read_json(str(path), {})
+
+    def test_reading_a_policy_needs_no_object_per_entry(self, policy_doc, tmp_path):
+        # json.load peaks at 7.5 MB on this document
+        path = tmp_path / "pol.json"
+        cli._emit(policy_doc, str(path))
+        tracemalloc.start()
+        try:
+            doc = cli._read_json(str(path), {})
+            _, policy = deadline.policy_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+        assert doc["price"].dtype == np.int64 and doc["opt"].dtype == np.float64
+        assert np.array_equal(policy.price, policy_doc["price"])
+        assert np.array_equal(policy.opt, policy_doc["opt"])
+
+
+class TestPolicyInput:
+    """simulate --policy and baseline --compare-policy reject a policy
+    document that is malformed or off the problem's grid with exit 3 and one
+    error line naming the file."""
+
+    COMMANDS = (["simulate", "--trials", "10", "--policy"],
+                ["baseline", *PROB_FLAGS, "--confidence", "0.9", "--compare-policy"])
+
+    @staticmethod
+    def edited(ws, edit):
+        doc = load(ws, "pol.json")
+        edit(doc)
+        return json.dumps(doc)
+
+    def assert_rejected(self, ws, monkeypatch, capsys, text, reason):
+        monkeypatch.chdir(ws)
+        (ws / "pol_bad.json").write_text(text)
+        for argv in self.COMMANDS:
+            assert cli.main([*argv, "pol_bad.json"]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert "pol_bad.json: " in err[0] and reason in err[0]
+
+    def test_off_grid_price_and_nan_opt(self, ws, monkeypatch, capsys):
+        def edit(doc):
+            doc["price"][12][0] = -50
+            doc["opt"][3][2] = math.nan
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit),
+                             "policy document: price -50 at (n=12, t=0) is not on the price grid")
+
+    @pytest.mark.parametrize("name, n, t, value, reason", [
+        ("price", 4, 5, 21, "price 21 at (n=4, t=5) is not on the price grid"),
+        ("price", 4, 5, 2.5, "price 2.5 at (n=4, t=5) is not on the price grid"),
+        ("opt", 3, 2, math.nan, "opt nan at (n=3, t=2) is not finite"),
+        ("opt", 0, 6, -math.inf, "opt -inf at (n=0, t=6) is not finite"),
+    ])
+    def test_invalid_entry(self, ws, monkeypatch, capsys, name, n, t, value, reason):
+        def edit(doc):
+            doc[name][n][t] = value
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda doc: doc["price"][5].pop(), "bad policy document"),
+        (lambda doc: doc["price"][4].__setitem__(2, "7"), "price is not a 13x6 matrix"),
+        (lambda doc: doc["opt"][4].__setitem__(2, None), "opt is not a 13x7 matrix"),
+        (lambda doc: doc["price"][4].__setitem__(2, {}), "price is not a 13x6 matrix"),
+        (lambda doc: doc.__setitem__("price", []), "price is not a 13x6 matrix"),
+    ], ids=["ragged", "string", "null", "object", "empty"])
+    def test_malformed_matrix(self, ws, monkeypatch, capsys, edit, reason):
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[1, 2]", "pol_bad.json: expected a JSON object at the top level"),
+        (None, "pol_bad.json: not valid JSON: Extra data"),
+    ], ids=["top-level-array", "trailing-garbage"])
+    def test_malformed_document(self, ws, monkeypatch, capsys, text, reason):
+        text = text or (ws / "pol.json").read_text() + "x"
+        self.assert_rejected(ws, monkeypatch, capsys, text, reason)

@@ -390,8 +390,7 @@ def fixed_price_problems(draw):
         start_offset_seconds=offset, epsilon=0.0)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(fixed_price_problems())
 def test_closed_form_matches_forward_evaluation(problem):
     for price in problem.grid.prices():
