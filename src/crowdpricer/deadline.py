@@ -16,7 +16,10 @@ lowest-price tie rule:
   scan is exact: it assumes nothing about how prices vary with n.
 
 The posted costs then come from one shared pass, one convolution per run of
-states that post the same price, so both solvers write the same opt bits.
+states that post the same price (``_runs``), so both solvers write the same
+opt bits.  ``evaluate_policy_exact`` moves each run's probability mass in one
+convolution too; its scalar sums add per-state terms in ascending n, so its
+cost does not depend on the run split.
 
 Transition tails are truncated at the smallest s0 with
 Pr(Pois >= s0) < epsilon; the dropped mass is never renormalized, which
@@ -230,6 +233,12 @@ def _scan_costs(pmf, caps, spend, opt_next) -> np.ndarray:
     return costs
 
 
+def _runs(choice: np.ndarray):
+    """Yield, in ascending n, each run [lo, hi) of states posting one row choice[n - 1]."""
+    edges = np.concatenate(([1], np.flatnonzero(np.diff(choice)) + 2, [len(choice) + 1]))
+    yield from zip(edges[:-1].tolist(), edges[1:].tolist())
+
+
 def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy:
     """Backward induction over time slices.
 
@@ -256,9 +265,7 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
         best = costs.min(axis=0)
         choice = np.argmax(costs <= best + _TIE_REL * np.maximum(1.0, np.abs(best)), axis=0)
         price[1:, t] = prices[choice]
-        # run edges in states n; choice[n - 1] is the row state n posts
-        edges = np.concatenate(([1], np.flatnonzero(np.diff(choice)) + 2, [n_max + 1]))
-        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        for lo, hi in _runs(choice):
             j = choice[lo - 1]
             cap = int(caps[j])
             start = max(0, lo - cap + 1)
@@ -291,45 +298,47 @@ class PolicyEvaluation:
     pr_any_remaining: float
 
 
+def _check_shape(problem: DeadlineProblem, policy: DeadlinePolicy) -> None:
+    """Reject a policy whose price matrix is not (N+1, N_T) for problem."""
+    need = (problem.n_tasks + 1, problem.n_intervals)
+    if policy.price.shape != need:
+        raise DataError(f"policy/problem dimension mismatch: policy is "
+                        f"{policy.price.shape}, problem needs {need}")
+
+
 def evaluate_policy_exact(
     problem: DeadlineProblem, policy: DeadlinePolicy
 ) -> PolicyEvaluation:
     """Exact policy evaluation by forward-propagating the state distribution.
 
     Transitions use the full Poisson support (no truncation) regardless of
-    problem.epsilon, so this is the reference cost of actually running the
-    policy.
+    problem.epsilon: the reference cost of running the policy.  Per
+    interval, each run [lo, hi) of states posting one price moves its mass
+    in one convolution of dist[lo:hi] with the reversed pmf head.  The
+    absorbed mass and the cost add per-state terms in ascending n, as a
+    state-by-state pass does; a dot product rounded a cost below opt.
     """
-    n_max, horizon = problem.n_tasks, problem.n_intervals
-    if policy.price.shape != (n_max + 1, horizon):
-        raise DataError(
-            f"policy/problem dimension mismatch: policy is "
-            f"{policy.price.shape}, problem needs {(n_max + 1, horizon)}"
-        )
-    rates = problem.interval_rates()
+    _check_shape(problem, policy)
+    n_max = problem.n_tasks
+    states = np.arange(1, n_max + 1)
     dist = np.zeros(n_max + 1)
     dist[n_max] = 1.0
     cost = 0.0
-    for t in range(horizon):
-        posted = np.unique(policy.price[1:, t])
-        mus = rates[t] * np.array([problem.model.probability(int(c)) for c in posted])
+    for t, rate in enumerate(problem.interval_rates()):
+        posted, rows = np.unique(policy.price[1:, t], return_inverse=True)
+        mus = rate * np.array([problem.model.probability(int(c)) for c in posted])
         pmf, tails, _, spend = _slice_tables(mus, n_max, 0.0)
-        rows = np.searchsorted(posted, policy.price[:, t])
         new = np.zeros(n_max + 1)
-        new[0] = dist[0]
-        for n in range(1, n_max + 1):
-            mass = dist[n]
-            if mass == 0.0:
-                continue
-            j, c = rows[n], int(policy.price[n, t])
-            new[1 : n + 1] += mass * pmf[j, :n][::-1]
-            new[0] += mass * tails[j, n]
-            cost += mass * c * spend[j, n - 1]
+        for lo, hi in _runs(rows):
+            head = pmf[rows[lo - 1], hi - 2 :: -1]  # pmf[s] for s = hi-2 .. 0
+            new[1:hi] += np.convolve(dist[lo:hi], head)[hi - lo - 1 : 2 * hi - lo - 2]
+        new[0] = np.cumsum(np.r_[dist[0], dist[1:] * tails[rows, states]])[-1]
+        cost = np.cumsum(np.r_[cost, dist[1:] * posted[rows] * spend[rows, states - 1]])[-1]
         dist = new
     remaining = float(np.dot(np.arange(n_max + 1), dist))
     pr_any = float(np.sum(dist[1:]))
     return PolicyEvaluation(
-        expected_cost=cost, expected_remaining=remaining, pr_any_remaining=pr_any
+        expected_cost=float(cost), expected_remaining=remaining, pr_any_remaining=pr_any
     )
 
 

@@ -23,10 +23,11 @@ from .deadline import (
     DeadlinePolicy,
     DeadlineProblem,
     PolicyEvaluation,
+    _check_shape,
     evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
-from .errors import CapacityError, DataError, InfeasibleError
+from .errors import DataError, InfeasibleError
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -170,12 +171,7 @@ def simulate_deadline(
         price_of = np.full((n_max + 1, len(rates)), strategy.price, dtype=np.int64)
         descriptor = f"fixed-price:{strategy.price}"
     else:
-        if strategy.price.shape != (n_max + 1, problem.n_intervals):
-            raise DataError(
-                f"policy/problem dimension mismatch: policy is "
-                f"{strategy.price.shape}, problem needs "
-                f"{(n_max + 1, problem.n_intervals)}"
-            )
+        _check_shape(problem, strategy)
         price_of = strategy.price
         descriptor = f"policy:{strategy.problem_digest[:12]}"
     prices, price_index = np.unique(price_of, return_inverse=True)
@@ -260,12 +256,6 @@ def simulate_budget(
         need = quota[:, -1]
         workers[lo:hi] = need
         if profile.periodic:
-            horizon = int(need.max()) * len(rates) / total
-            if horizon > 5e6:
-                raise CapacityError(
-                    f"simulation horizon exceeded: ~{horizon:.3g} buckets needed "
-                    f"to see {int(need.max())} arrivals"
-                )
             periods, r = np.divmod(rng.standard_gamma(need), total)
             completion[lo:hi] = periods * profile.span_seconds + _seconds_into(
                 r, rates, ends, profile.bucket_seconds

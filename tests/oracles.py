@@ -141,9 +141,10 @@ def brute_policy_evaluation(
     rates: list[float],
     price_of,
     prob_of,
-) -> tuple[float, float]:
-    """(expected reward cost, expected remaining) of a fixed policy, by
-    scalar forward propagation of the full state distribution.
+) -> tuple[float, float, float]:
+    """(expected reward cost, expected remaining, Pr(any remaining)) of a
+    fixed policy, by scalar forward propagation of the full state
+    distribution.
 
     price_of(n, t) -> price, prob_of(price) -> acceptance probability."""
     horizon = len(rates)
@@ -168,7 +169,8 @@ def brute_policy_evaluation(
             nxt[0] = nxt.get(0, 0.0) + w * tail
         dist = nxt
     remaining = sum(n * w for n, w in dist.items())
-    return cost, remaining
+    pr_any = sum(w for n, w in dist.items() if n > 0)
+    return cost, remaining, pr_any
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,34 @@ class TestEvaluatePolicy:
         rng = np.random.default_rng(53)
         prob, rates, priced, penalty = oracles.random_deadline_instance(
             rng, n_max=15, t_max=5, c_max=8, epsilon=0.0)
-        policy = solve_simple(prob)
-        ev = evaluate_policy_exact(prob, policy)
-        cost, remaining = oracles.brute_policy_evaluation(
-            prob.n_tasks, rates,
-            lambda n, t: policy.price[n][t],
-            lambda c: prob.model.probability(c))
-        assert ev.expected_cost == pytest.approx(cost, abs=1e-9)
-        assert ev.expected_remaining == pytest.approx(remaining, abs=1e-9)
+        cases = [(prob, rates, solve_simple(prob).price)]
+        # price columns the solver never posts: runs of one state, alternating
+        # prices, sorted runs, a lone price at n = N; interval 2 has no arrivals
+        for n in (1, 2, 17, 40):
+            rates = [round(float(r), 3) for r in rng.uniform(0.2, 7.0, 5)]
+            rates[2] = 0.0
+            prob = small_problem(
+                n_tasks=n, n_intervals=5, profile=ArrivalProfile(600, tuple(rates)))
+            price = np.column_stack([
+                rng.integers(0, 9, n + 1),
+                np.resize([2, 7], n + 1),
+                rng.integers(0, 9, n + 1),
+                np.sort(rng.integers(0, 9, n + 1)),
+                np.r_[np.full(n, 4), 8],
+            ])
+            cases.append((prob, rates, price))
+        for prob, rates, price in cases:
+            policy = deadline.DeadlinePolicy(
+                price=price, opt=np.zeros((prob.n_tasks + 1, prob.n_intervals + 1)),
+                problem_digest=problem_digest(prob))
+            ev = evaluate_policy_exact(prob, policy)
+            cost, remaining, pr_any = oracles.brute_policy_evaluation(
+                prob.n_tasks, rates,
+                lambda n, t: int(price[n][t]),
+                lambda c: prob.model.probability(c))
+            assert ev.expected_cost == pytest.approx(cost, abs=1e-9)
+            assert ev.expected_remaining == pytest.approx(remaining, abs=1e-9)
+            assert ev.pr_any_remaining == pytest.approx(pr_any, abs=1e-9)
 
     def test_dead_market_leaves_everything(self):
         prob = small_problem(

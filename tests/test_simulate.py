@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from crowdpricer import (
     ArrivalProfile,
-    CapacityError,
     DataError,
     DeadlineProblem,
     FixedPrice,
@@ -26,6 +25,7 @@ from crowdpricer import (
     cost_reduction,
     evaluate_policy_exact,
     evaluate_fixed_price,
+    expected_worker_arrivals,
     price_floor_c0,
     simulate_budget,
     simulate_choice_model,
@@ -156,8 +156,10 @@ class TestSimulateDeadline:
         prob = toy_problem()
         other = toy_problem(n_tasks=7)
         policy = solve_simple(other)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="dimension mismatch"):
             simulate_deadline(prob, policy, SimulationConfig(trials=5, seed=0))
+        with pytest.raises(DataError, match="dimension mismatch"):
+            evaluate_policy_exact(prob, policy)
 
     def test_aggregates_recomputable_from_trials(self):
         prob = toy_problem()
@@ -258,12 +260,19 @@ class TestSimulateBudget:
             se = math.sqrt(want * (1.0 - want) / trials)
             assert abs(np.sum(t <= seconds) / trials - want) <= 3 * se
 
-    def test_capacity_guard(self):
+    def test_long_horizon_simulates(self):
+        # about 1e4 arrivals at 1e-4 per hour: some 1e8 periods of the profile,
+        # which one Gamma draw per trial reaches as cheaply as a short horizon
         model = TabulatedAcceptance({1: 0.001})
         profile = ArrivalProfile(3600, (0.0001,), periodic=True)
-        with pytest.raises(CapacityError):
-            simulate_budget(
-                ((1, 10),), profile, model, SimulationConfig(trials=2, seed=1))
+        entries = ((1, 10),)
+        ag = simulate_budget(
+            entries, profile, model, SimulationConfig(trials=20000, seed=1)).aggregates()
+        want = expected_worker_arrivals(entries, model)
+        assert ag.completion_rate == 1.0
+        assert abs(ag.mean_workers - want) <= 3 * ag.se_workers
+        want_seconds = want * 3600 / 0.0001
+        assert abs(ag.mean_completion_seconds - want_seconds) <= 3 * ag.se_completion_seconds
 
     def test_unsimulable_inputs_rejected(self):
         model = TabulatedAcceptance({1: 1e-13, 2: 0.5})
