@@ -125,7 +125,7 @@ def _usable_prices(problem: BudgetProblem) -> list[tuple[int, float]]:
             out.append((c, 1.0 / p))
     if not out:
         raise InfeasibleError("no usable price on grid: all acceptance "
-                              "probabilities below 1e-12")
+                              f"probabilities below {DEAD_PRICE_FLOOR:g}")
     return out
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -235,8 +236,10 @@ def _load_profile(args: argparse.Namespace, digests: dict[str, str]) -> ArrivalP
 
 
 def _interval_seconds(deadline_hours: float, intervals: int) -> int:
+    if intervals < 1:
+        raise DataError(f"--intervals must be >= 1, got {intervals}")
     per = deadline_hours * 3600.0 / intervals
-    snapped = round(per)
+    snapped = round(per) if math.isfinite(per) else 0
     if snapped <= 0 or abs(per - snapped) > 1e-6:
         raise DataError(
             f"a deadline of {deadline_hours} hours does not split into "
@@ -370,14 +373,16 @@ def _cmd_solve_budget(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _sim_config(args: argparse.Namespace) -> SimulationConfig:
     try:
-        config = SimulationConfig(
-            trials=args.trials, seed=args.seed, parallel=args.parallel
-        )
+        return SimulationConfig(trials=args.trials, seed=args.seed, parallel=args.parallel)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    digests: dict[str, str] = {}
+    config = _sim_config(args)
 
     if args.alloc is not None:
         extra = [
@@ -455,6 +460,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
+    config = None if args.trials is None else _sim_config(args)
     problem = _build_deadline_problem(args, digests)
     price, prob = baseline_fixed_price(problem, args.confidence)
     ev = evaluate_fixed_price(problem, price)
@@ -495,10 +501,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             "dynamic_expected_cost_cents": dyn.expected_cost,
             "cost_reduction": cost_reduction(ev.expected_cost, dyn.expected_cost),
         }
-    if args.trials is not None:
-        config = SimulationConfig(
-            trials=args.trials, seed=args.seed, parallel=args.parallel
-        )
+    if config is not None:
         report = simulate_deadline(problem, FixedPrice(price), config)
         doc["simulation"] = report_to_dict(report)
     _emit(doc, args.out)

@@ -5,8 +5,10 @@ interval t completes s ~ Pois(lambda_t * p(c)) tasks (capped at n); each
 completion pays c; tasks remaining at the deadline pay a penalty.  Backward
 induction over t yields the cost-to-go matrix opt and the price matrix.
 
-Both solvers, the exact evaluator and ``transition_distribution`` read
-their transition tables from one routine, and both solvers apply the same
+The market math lives in ``market.py``: ``interval_rates`` differences the
+profile's cumulative intensity at the interval edges, and both solvers, the
+exact evaluator and ``transition_distribution`` read their transition
+tables from ``market._transition_tables``.  Both solvers apply the same
 lowest-price tie rule:
 
 * ``solve_simple`` computes every price's cost one state at a time (the
@@ -36,28 +38,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, InfeasibleError
+from .errors import DataError, DomainError, InfeasibleError
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
     PriceGrid,
     TabulatedAcceptance,
     _require_int,
+    _TIE_REL,
+    _transition_tables,
     grid_from_dict,
     grid_to_dict,
     model_from_dict,
     model_to_dict,
-    poisson_tables,
     profile_from_dict,
     profile_to_dict,
     truncation_threshold,  # noqa: F401  (re-exported)
 )
 
 SCHEMA_VERSION = 1
-
-# relative slack when deciding that two expected costs tie; ties break to the
-# lowest price
-_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,9 @@ class DeadlineProblem:
             raise ValueError("interval_seconds must be positive")
         if self.start_offset_seconds < 0:
             raise ValueError("start_offset_seconds must be >= 0")
+        end = int(self.start_offset_seconds) + int(self.n_intervals) * int(self.interval_seconds)
+        if end > 2**53:  # the interval edges are float seconds, whole only below this
+            raise ValueError(f"the horizon ends at {end} s, past 2**53 s")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
         if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
@@ -117,15 +119,11 @@ class DeadlineProblem:
             )
 
     def interval_rates(self) -> np.ndarray:
-        """Expected arrivals per interval, integrated from the profile."""
-        d = self.interval_seconds
-        off = self.start_offset_seconds
-        return np.array(
-            [
-                self.profile.expected_arrivals(off + t * d, off + (t + 1) * d)
-                for t in range(self.n_intervals)
-            ]
-        )
+        """Expected arrivals per interval: differences of the profile's
+        cumulative intensity at the interval edges."""
+        steps = np.arange(self.n_intervals + 1.0)
+        edges = self.start_offset_seconds + self.interval_seconds * steps
+        return np.diff(self.profile._cumulative(edges))
 
     def terminal_cost(self, n: int) -> float:
         if n == 0:
@@ -179,33 +177,11 @@ def transition_distribution(
     mu = lambda_t * p
     if mu == 0.0:
         return [(0, 1.0)]
-    pmf, tails, caps, _ = _slice_tables(np.array([mu]), n, epsilon)
+    pmf, tails, caps, _ = _transition_tables(np.array([mu]), n, epsilon)
     out = [(s, float(q)) for s, q in enumerate(pmf[0, : caps[0]])]
     if tails[0, n] > 0.0:
         out.append((n, float(tails[0, n])))
     return out
-
-
-def _slice_tables(
-    mus: np.ndarray, n_max: int, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transition tables out of states n <= N = n_max, one row per mean.
-
-    Returns (pmf, tails, caps, spend): pmf[j, s] for s < N, zeroed from
-    cap_j = min(N, s0_j) on (eps = 0 keeps the full support); tails[j, n] =
-    Pr(Pois >= n) for n = 0..N; the caps; and the expected completions
-    spend[j, n-1] = sum_{s<n} s * pmf[j, s] + n * tails[j, n], not yet
-    multiplied by a price.  One kernel call serves every table.
-    """
-    floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
-    pmf, tails = poisson_tables(mus, n_max, floor)
-    below = tails < eps  # never true when eps == 0
-    below[:, n_max] = True  # so the first True is at min(N, s0)
-    caps = below.argmax(axis=1)
-    pmf[np.arange(n_max) >= caps[:, None]] = 0.0
-    spend = np.cumsum(np.arange(n_max) * pmf, axis=1)
-    spend += np.arange(1, n_max + 1) * tails[:, 1:]
-    return pmf, tails, caps, spend
 
 
 def _loop_costs(pmf, caps, spend, opt_next) -> np.ndarray:
@@ -258,7 +234,7 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
     opt[:, horizon] = [problem.terminal_cost(n) for n in range(n_max + 1)]
     rates = problem.interval_rates()
     for t in range(horizon - 1, -1, -1):
-        pmf, _, caps, spend = _slice_tables(rates[t] * acceptance, n_max, problem.epsilon)
+        pmf, _, caps, spend = _transition_tables(rates[t] * acceptance, n_max, problem.epsilon)
         spend *= prices[:, None]
         opt_next = opt[:, t + 1]
         costs = slice_costs(pmf, caps, spend, opt_next)
@@ -327,7 +303,7 @@ def evaluate_policy_exact(
     for t, rate in enumerate(problem.interval_rates()):
         posted, rows = np.unique(policy.price[1:, t], return_inverse=True)
         mus = rate * np.array([problem.model.probability(int(c)) for c in posted])
-        pmf, tails, _, spend = _slice_tables(mus, n_max, 0.0)
+        pmf, tails, _, spend = _transition_tables(mus, n_max, 0.0)
         new = np.zeros(n_max + 1)
         for lo, hi in _runs(rows):
             head = pmf[rows[lo - 1], hi - 2 :: -1]  # pmf[s] for s = hi-2 .. 0
@@ -347,10 +323,10 @@ def _calibrated_solve(
 ) -> tuple[float, DeadlineProblem, DeadlinePolicy, PolicyEvaluation]:
     """calibrate_penalty's search.  Returns its last accepted probe as
     (achieved, probe problem, policy, evaluation), so nothing is solved twice."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    if not (0.0 <= bound < np.inf):
+        raise DomainError(f"bound must be finite and >= 0, got {bound}")
     if not (0.0 < tolerance < 1.0):
-        raise ValueError("tolerance must be in (0, 1)")
+        raise DomainError(f"bound tolerance must be in (0, 1), got {tolerance}")
 
     def achieved_at(pen: float):
         # the program chose this penalty: no warning meant for a user's

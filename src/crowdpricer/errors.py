@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: DataError -> 3, InfeasibleError -> 4,
-anything else -> 5 (usage errors exit 2 via argparse).
+The CLI maps these onto exit codes: DataError (DomainError too) -> 3,
+InfeasibleError -> 4, anything else -> 5 (usage errors exit 2 via argparse).
 """
 
 
@@ -11,6 +11,11 @@ class CrowdPricerError(Exception):
 
 class DataError(CrowdPricerError):
     """Malformed or inconsistent input data (CSV parse errors, bad lookups)."""
+
+
+class DomainError(DataError, ValueError):
+    """An argument outside its domain, such as a confidence of 1 or a NaN
+    bound: a ValueError to library callers, bad input to the CLI."""
 
 
 class InfeasibleError(CrowdPricerError):

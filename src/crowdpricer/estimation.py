@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 from .market import ArrivalProfile, LogisticAcceptance
 
 
@@ -152,7 +152,7 @@ def fit_periodic_profile(
     if not profiles:
         raise ValueError("need at least one profile")
     if period_buckets < 1:
-        raise ValueError("period_buckets must be >= 1")
+        raise DomainError(f"period_buckets must be >= 1, got {period_buckets}")
     bucket = profiles[0].bucket_seconds
     folded = []
     for prof in profiles:
@@ -227,17 +227,12 @@ def fit_wage_utility(
         dummies[i, types.index(o.task_type)] = 1.0
     design = np.column_stack([wages, dummies])
     gram = design.T @ design
-    try:
-        beta = np.linalg.solve(gram, design.T @ y)
-    except np.linalg.LinAlgError:
-        raise DataError(
-            "degenerate design: wages carry no variation independent of task type"
-        ) from None
-    # a solvable but rank-deficient system can slip through solve(); reject it
+    # checked before solve(), which can return for a rank-deficient system
     if np.linalg.matrix_rank(gram) < gram.shape[0]:
         raise DataError(
             "degenerate design: wages carry no variation independent of task type"
         )
+    beta = np.linalg.solve(gram, design.T @ y)
     residuals = y - design @ beta
     sst = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - float(np.sum(residuals**2)) / sst
@@ -275,12 +270,11 @@ def derive_acceptance_model(
     K/norm); p(c) is invariant to norm, and the chain is recorded step by
     step in `derivation`.
     """
-    if task_seconds <= 0:
-        raise ValueError("task_seconds must be positive")
-    if market_total_per_hour <= 0:
-        raise ValueError("market_total_per_hour must be positive")
-    if mass_normalization_seconds <= 0:
-        raise ValueError("mass_normalization_seconds must be positive")
+    inputs = {"task_seconds": task_seconds, "market_total_per_hour": market_total_per_hour,
+              "mass_normalization_seconds": mass_normalization_seconds}
+    for name, value in inputs.items():
+        if not (0.0 < value < math.inf):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     alpha = fit.linear_coefficient
     if alpha <= 0:
         raise DataError(

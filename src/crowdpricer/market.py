@@ -7,6 +7,15 @@ Conventions used throughout the package:
 * time is measured in seconds, rates in workers per bucket;
 * an arrival profile is a piecewise-constant intensity (one value per
   bucket), optionally extended periodically.
+
+The two primitives of the pricing model live here and nowhere else.  An
+``ArrivalProfile`` maps times to cumulative intensity (``_cumulative``,
+vectorized over window edges) and back (``_time_at``, the time change the
+budget simulator samples through).  ``_transition_tables`` builds the
+Poisson pickup tables at means lambda_t * p(c) that the deadline solvers,
+the exact evaluator and ``transition_distribution`` read, and holds the
+one rule that sizes their truncated support; ``truncation_threshold`` is
+a view of its cap.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ class ArrivalProfile:
     bucket_seconds: int
     rates: tuple[float, ...]
     periodic: bool = False
-    _prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # _prefix[i]: expected arrivals in buckets 0..i-1, summed in bucket order
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("bucket_seconds", self.bucket_seconds)
@@ -49,37 +59,45 @@ class ArrivalProfile:
             if not math.isfinite(r) or r < 0:
                 raise ValueError(f"rates must be finite and non-negative, got {r}")
         object.__setattr__(self, "rates", rates)
-        prefix = [0.0]
-        for r in rates:
-            prefix.append(prefix[-1] + r)
-        object.__setattr__(self, "_prefix", tuple(prefix))
+        prefix = np.cumsum((0.0, *rates))
+        prefix.setflags(write=False)
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def span_seconds(self) -> int:
         return self.bucket_seconds * len(self.rates)
 
-    def _cumulative(self, t: float) -> float:
-        """Integral of the intensity over [0, t), in expected arrivals."""
-        if t <= 0:
-            return 0.0
-        span = self.span_seconds
-        total = self._prefix[-1]
+    def _cumulative(self, t: np.ndarray) -> np.ndarray:
+        """Integral of the intensity over [0, t) at each of t, ascending
+        window edges in [0, 2**53] s (at least two), in expected arrivals."""
+        width, span, total = self.bucket_seconds, self.span_seconds, self._prefix[-1]
         whole = 0.0
         if self.periodic:
-            periods = math.floor(t / span)
+            # below 2**53 s, t / span rounds across no integer and
+            # t - periods * span is exact, so t lands in [0, span)
+            periods = np.floor(t / span)
             whole = periods * total
-            t -= periods * span
-            if t >= span:  # guard against float slop at period boundaries
-                whole += total
-                t -= span
-        elif t > span:
+            t = t - periods * span
+        elif t[-1] > span:
+            end = t[1:][t[1:] > span][0]  # the first window end past the span
             raise DataError(
-                f"profile exhausted: window reaches {t:.0f}s but the profile "
+                f"profile exhausted: window reaches {end:.0f}s but the profile "
                 f"spans {span}s and is not periodic"
             )
-        k = min(int(t // self.bucket_seconds), len(self.rates) - 1)
-        frac = t - k * self.bucket_seconds
-        return whole + self._prefix[k] + self.rates[k] * (frac / self.bucket_seconds)
+        k = np.minimum(t // width, len(self.rates) - 1).astype(np.intp)
+        rate = np.asarray(self.rates)[k]
+        return whole + self._prefix[k] + rate * ((t - k * width) / width)
+
+    def _time_at(self, r: np.ndarray) -> np.ndarray:
+        """Seconds into the profile's first span at which its cumulative
+        intensity reaches r (0 <= r <= total): the inverse of _cumulative,
+        the NHPP time change read backwards.  A zero-rate bucket ends where
+        it begins, so no time falls inside one."""
+        rates, ends = np.asarray(self.rates), self._prefix[1:]
+        last = np.flatnonzero(rates).max(initial=0)  # the last live bucket
+        k = np.minimum(np.searchsorted(ends, r, side="right"), last)
+        frac = np.clip((r - (ends[k] - rates[k])) / rates[k], 0.0, 1.0)
+        return (k + frac) * self.bucket_seconds
 
     def expected_arrivals(self, t_start: float, t_end: float) -> float:
         """Expected arrivals in [t_start, t_end).
@@ -87,12 +105,12 @@ class ArrivalProfile:
         Computed as a difference of one cumulative function, so adjacent
         windows add up exactly (to float rounding).
         """
-        if t_start < 0 or t_end < t_start:
-            raise ValueError("need 0 <= t_start <= t_end")
-        return self._cumulative(t_end) - self._cumulative(t_start)
+        if not (0 <= t_start <= t_end <= 2**53):
+            raise ValueError("need 0 <= t_start <= t_end <= 2**53")
+        return float(np.diff(self._cumulative(np.array([t_start, t_end], dtype=float)))[0])
 
     def mean_rate_per_hour(self) -> float:
-        return self._prefix[-1] / self.span_seconds * 3600.0
+        return float(self._prefix[-1]) / self.span_seconds * 3600.0
 
 
 class AcceptanceModel:
@@ -196,28 +214,17 @@ class PriceGrid:
         return (self.max_price - self.min_price) // self.step + 1
 
 
+# relative slack when deciding that two expected costs tie; every solver
+# breaks a tie to the lowest grid price
+_TIE_REL = 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Poisson machinery.
 #
 # The pmf is computed in log space (no overflow for large k or lambda); tails
 # are exact summations, never normal approximations, because the truncation
 # thresholds below are contractual.
-
-_LGAMMA_CACHE = np.zeros(1)  # lgamma(k+1) for k = 0..len-1
-
-
-def _lgamma_table(n: int) -> np.ndarray:
-    """lgamma(k+1) for k = 0..n-1, grown geometrically and cached."""
-    global _LGAMMA_CACHE
-    if len(_LGAMMA_CACHE) < n:
-        size = max(n, 2 * len(_LGAMMA_CACHE), 256)
-        tbl = np.empty(size)
-        tbl[0] = 0.0
-        # lgamma(k+1) = lgamma(k) + ln(k)
-        np.cumsum(np.log(np.arange(1, size)), out=tbl[1:])
-        _LGAMMA_CACHE = tbl
-    return _LGAMMA_CACHE[:n]
-
 
 def poisson_pmf(k: int, lam: float) -> float:
     """Pr(Pois(lam) = k), stable for large k and lam."""
@@ -264,7 +271,7 @@ def poisson_tables(
     # out as exp(0) = 1 and whose other entries are cleared below
     pmf = np.arange(end) * np.log(np.where(live, mus, 1.0))[:, None]
     pmf -= mus[:, None]
-    pmf -= _lgamma_table(end)
+    pmf[:, 1:] -= np.cumsum(np.log(np.arange(1, end)))  # lgamma(k + 1), k >= 1
     np.exp(pmf, out=pmf)
     pmf[~live, 1:] = 0.0
     tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
@@ -305,16 +312,39 @@ def poisson_tail_vector(n: int, lam: float) -> np.ndarray:
 
 
 def truncation_threshold(lam: float, epsilon: float) -> int:
-    """Smallest s0 with Pr(Pois(lam) >= s0) < epsilon, by exact tail sums."""
+    """Smallest s0 with Pr(Pois(lam) >= s0) < epsilon, by exact tail sums:
+    the cap of _transition_tables out of N = poisson_support_end(lam,
+    epsilon) states, where the tail is already below epsilon."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    # tails at the support end are below floor < epsilon, so s0 is in range
-    floor = min(1e-18, epsilon * 1e-9)
-    end = poisson_support_end(lam, floor)
-    tails = poisson_tables(np.array([lam]), end, floor)[1][0]
-    return int(np.argmax(tails < epsilon))
+    n_max = poisson_support_end(lam, epsilon)
+    return int(_transition_tables(np.array([lam]), n_max, epsilon)[2][0])
+
+
+def _transition_tables(
+    mus: np.ndarray, n_max: int, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transition tables out of states n <= N = n_max, one row per mean.
+
+    Returns (pmf, tails, caps, spend): pmf[j, s] for s < N, zeroed from
+    cap_j = min(N, s0_j) on, s0_j the smallest s with Pr(Pois >= s) < eps
+    (eps = 0 keeps the full support); tails[j, n] = Pr(Pois >= n) for
+    n = 0..N; the caps; and the expected completions spend[j, n-1] =
+    sum_{s<n} s * pmf[j, s] + n * tails[j, n], not yet multiplied by a
+    price.  Each table leaves out only the Poisson mass past its support
+    end, below a floor of 1e-9 * eps and at most 1e-18.
+    """
+    floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
+    pmf, tails = poisson_tables(mus, n_max, floor)
+    below = tails < eps  # never true when eps == 0
+    below[:, n_max] = True  # so the first True is at min(N, s0)
+    caps = below.argmax(axis=1)
+    pmf[np.arange(n_max) >= caps[:, None]] = 0.0
+    spend = np.cumsum(np.arange(n_max) * pmf, axis=1)
+    spend += np.arange(1, n_max + 1) * tails[:, 1:]
+    return pmf, tails, caps, spend
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from .deadline import (
     evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
-from .errors import DataError, InfeasibleError
+from .budget import DEAD_PRICE_FLOOR
+from .errors import DataError, DomainError, InfeasibleError
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -198,17 +199,6 @@ def simulate_deadline(
 # Budget simulation (event-level).
 
 
-def _seconds_into(
-    r: np.ndarray, rates: np.ndarray, ends: np.ndarray, bucket_seconds: int
-) -> np.ndarray:
-    """Seconds into the profile at which its cumulative intensity reaches r
-    (0 <= r <= total): the NHPP time change read backwards.  A zero-rate
-    bucket ends where it begins, so no time falls inside one."""
-    k = np.minimum(np.searchsorted(ends, r, side="right"), np.flatnonzero(rates).max(initial=0))
-    frac = np.clip((r - (ends[k] - rates[k])) / rates[k], 0.0, 1.0)
-    return (k + frac) * bucket_seconds
-
-
 def simulate_budget(
     entries: tuple[tuple[int, int], ...],
     profile: ArrivalProfile,
@@ -236,12 +226,10 @@ def simulate_budget(
         raise ValueError("allocation is empty")
     prices_desc = np.array(sorted(prices, reverse=True), dtype=np.int64)
     probs_desc = np.array([model.probability(int(c)) for c in prices_desc])
-    if np.any(probs_desc < 1e-12):
+    if np.any(probs_desc < DEAD_PRICE_FLOOR):
         dead = int(prices_desc[np.argmin(probs_desc)])
-        raise DataError(f"price effectively dead: p({dead}) < 1e-12")
-    rates = np.asarray(profile.rates)
-    ends = np.cumsum(rates)
-    total = float(ends[-1])
+        raise DataError(f"price effectively dead: p({dead}) < {DEAD_PRICE_FLOOR:g}")
+    total = float(profile._prefix[-1])
     if profile.periodic and total <= 0.0:
         raise DataError("profile exhausted: periodic profile with zero total rate")
     paid = np.concatenate(([0], np.cumsum(prices_desc)))  # cost of the first j tasks
@@ -257,14 +245,12 @@ def simulate_budget(
         workers[lo:hi] = need
         if profile.periodic:
             periods, r = np.divmod(rng.standard_gamma(need), total)
-            completion[lo:hi] = periods * profile.span_seconds + _seconds_into(
-                r, rates, ends, profile.bucket_seconds
-            )
+            completion[lo:hi] = periods * profile.span_seconds + profile._time_at(r)
             continue
         count = rng.poisson(total, size=hi - lo)
         ok = count >= need
         at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
-        completion[lo:hi][ok] = _seconds_into(at, rates, ends, profile.bucket_seconds)
+        completion[lo:hi][ok] = profile._time_at(at)
         short = ~ok
         done = np.sum(quota[short] <= count[short, None], axis=1)
         cost[lo:hi][short] = paid[done]
@@ -319,7 +305,7 @@ def baseline_fixed_price(
     """Smallest grid price whose exact completion probability meets
     `confidence`.  Monotone in price, so bisection over the grid."""
     if not (0.0 <= confidence < 1.0):
-        raise ValueError("confidence must be in [0, 1)")
+        raise DomainError("confidence must be in [0, 1)")
     prices = list(problem.grid.prices())
     pr_hi = completion_probability_fixed(problem, prices[-1])
     if pr_hi < confidence:
@@ -346,7 +332,7 @@ def price_floor_c0(problem: DeadlineProblem) -> float | None:
     total expected arrivals even at p = 1)."""
     total = float(np.sum(problem.interval_rates()))
     if total <= 0:
-        raise ValueError("profile has no arrivals over the horizon")
+        raise DomainError("profile has no arrivals over the horizon")
     target = problem.n_tasks / total
     if target > 1.0:
         return None

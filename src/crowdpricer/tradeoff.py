@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
-from .market import AcceptanceModel, PriceGrid, _require_int
-
-_TIE_REL = 1e-12
+from .market import AcceptanceModel, PriceGrid, _require_int, _TIE_REL
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,51 @@ def fit_logistic_curve(curve: list[tuple[int, float]]) -> tuple[float, float, fl
 
 
 # ---------------------------------------------------------------------------
+# Arrival profile reference: one window at a time, in Python scalars.
+
+
+def cumulative_arrivals(rates, bucket_seconds: int, periodic: bool, t) -> float:
+    """Integral over [0, t) of the intensity that is rates[i] per bucket i,
+    repeated when periodic: whole periods, then the buckets before t summed
+    in order, then the covered fraction of t's bucket.  A non-periodic
+    profile raises DataError past its span."""
+    from crowdpricer import DataError
+
+    if t <= 0:
+        return 0.0
+    prefix = [0.0]
+    for r in rates:
+        prefix.append(prefix[-1] + r)
+    span = bucket_seconds * len(rates)
+    whole = 0.0
+    if periodic:
+        periods = math.floor(t / span)
+        whole = periods * prefix[-1]
+        t -= periods * span
+        if t >= span:
+            whole += prefix[-1]
+            t -= span
+    elif t > span:
+        raise DataError(
+            f"profile exhausted: window reaches {t:.0f}s but the profile "
+            f"spans {span}s and is not periodic"
+        )
+    k = min(int(t // bucket_seconds), len(rates) - 1)
+    return whole + prefix[k] + rates[k] * ((t - k * bucket_seconds) / bucket_seconds)
+
+
+def interval_arrivals(problem) -> list[float]:
+    """Expected arrivals per interval of a DeadlineProblem, one window at a
+    time, the end of each window evaluated first."""
+    p, d, off = problem.profile, problem.interval_seconds, problem.start_offset_seconds
+    out = []
+    for t in range(problem.n_intervals):
+        end = cumulative_arrivals(p.rates, p.bucket_seconds, p.periodic, off + (t + 1) * d)
+        out.append(end - cumulative_arrivals(p.rates, p.bucket_seconds, p.periodic, off + t * d))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Randomized instance builders shared across test modules.
 
 

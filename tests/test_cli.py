@@ -395,11 +395,55 @@ class TestBaseline:
         assert doc["comparison"]["dynamic_expected_cost_cents"] == pytest.approx(
             ev.expected_cost, rel=1e-12)
 
-    def test_bad_confidence_exits_5(self, ws):
-        r = run_cli(ws, "baseline", *PROB_FLAGS, "--confidence", "1.0",
-                    "--trials", "10")
-        assert r.returncode == 5
-        assert "confidence" in r.stderr
+
+class TestFlagDomains:
+    """A flag value outside its domain exits 3 with one error line naming the
+    flag or the input, before any solve and without writing a document."""
+
+    @staticmethod
+    def flags(flag, value):
+        """PROB_FLAGS with `flag` set to `value`."""
+        i = PROB_FLAGS.index(flag) + 1
+        return [*PROB_FLAGS[:i], value, *PROB_FLAGS[i + 1:]]
+
+    FIT = ["fit", "acceptance", "--csv", "obs.csv", "--task-seconds", "120",
+           "--market-total", "6000"]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["baseline", *PROB_FLAGS, "--confidence", "1.0", "--trials", "10"], "confidence"),
+        (["baseline", *PROB_FLAGS, "--confidence", "-0.1"], "confidence"),
+        (["baseline", *flags("--arrival-csv", "arrzero.csv"), "--confidence", "0"],
+         "profile has no arrivals"),
+        (["baseline", *PROB_FLAGS, "--trials", "0"], "trials"),
+        (["baseline", *PROB_FLAGS, "--trials", "5", "--seed", "-1"], "seed"),
+        (["solve-deadline", *PROB_FLAGS, "--bound", "-1"], "bound must be"),
+        (["solve-deadline", *PROB_FLAGS, "--bound", "nan"], "bound must be"),
+        (["solve-deadline", *PROB_FLAGS, "--bound", "inf"], "bound must be"),
+        (["solve-deadline", *PROB_FLAGS, "--bound", "0.5", "--bound-tol", "2"],
+         "bound tolerance"),
+        (["solve-deadline", *flags("--deadline-hours", "inf")], "deadline of inf hours"),
+        (["solve-deadline", *flags("--deadline-hours", "1e300")], "past 2**53 s"),
+        (["solve-deadline", *flags("--intervals", "0")], "--intervals"),
+        ([*FIT, "--task-seconds", "nan"], "task_seconds"),
+        ([*FIT, "--market-total", "inf"], "market_total_per_hour"),
+        ([*FIT, "--mass-normalization", "nan"], "mass_normalization_seconds"),
+        (["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "0"], "period_buckets"),
+    ], ids=["baseline-confidence-1.0", "baseline-confidence--0.1", "baseline-zero-arrivals",
+            "baseline-trials-0", "baseline-seed--1", "bound--1", "bound-nan", "bound-inf",
+            "bound-tol-2", "deadline-hours-inf", "deadline-hours-1e300", "intervals-0", "task-seconds-nan",
+            "market-total-inf", "mass-normalization-nan", "period-buckets-0"])
+    def test_exits_3_naming_the_flag(self, ws, monkeypatch, capsys, argv, needle):
+        (ws / "arrzero.csv").write_text(
+            "t_seconds,count\n" + "".join(f"{i * 1200},0\n" for i in range(6)))
+        solves = []
+        for name in ("solve_efficient", "solve_simple"):
+            monkeypatch.setattr(cli, name, lambda problem: solves.append(problem))
+        monkeypatch.chdir(ws)
+        assert cli.main([*argv, "--out", "domain.json"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
+        assert solves == []
+        assert not (ws / "domain.json").exists()
 
 
 class TestTradeoff:

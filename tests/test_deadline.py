@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crowdpricer import deadline
+from crowdpricer import deadline, market
 from crowdpricer import (
     ArrivalProfile,
     DataError,
@@ -232,7 +232,7 @@ class TestPostedCosts:
                 rates = prob.interval_rates()
                 states = np.arange(prob.n_tasks)
                 for t in range(prob.n_intervals):
-                    pmf, _, caps, spend = deadline._slice_tables(
+                    pmf, _, caps, spend = market._transition_tables(
                         rates[t] * accept, prob.n_tasks, eps)
                     costs = deadline._loop_costs(
                         pmf, caps, spend * prices[:, None], policy.opt[:, t + 1])
@@ -370,6 +370,71 @@ class TestEvaluatePolicy:
         assert ev.expected_remaining <= prob.n_tasks * ev.pr_any_remaining + 1e-12
 
 
+class TestIntervalRates:
+    """interval_rates is one np.diff over the cumulative map at the interval
+    edges; it must give the bits of the window-at-a-time reference."""
+
+    def _problem(self, profile, n_intervals, interval_seconds, offset):
+        return small_problem(profile=profile, n_intervals=n_intervals,
+                             interval_seconds=interval_seconds, start_offset_seconds=offset)
+
+    def test_bit_identical_to_window_at_a_time(self, weekly_profile):
+        rng = np.random.default_rng(2024)
+        # the reference keeps a guard for a remainder that lands on or past
+        # the period; edges on period boundaries and offsets up to 2**52 s
+        # show the one-pass remainder needs none
+        cases = [(weekly_profile, 72, 1200, 0), (weekly_profile, 144, 600, 5 * 86400 + 300),
+                 (weekly_profile, 168, 3600, weekly_profile.span_seconds),
+                 (weekly_profile, 48, 3600, 2**52 - 2**52 % weekly_profile.span_seconds),
+                 (weekly_profile, 30, 1234, 2**52 + 17)]
+        for _ in range(300):
+            buckets = int(rng.integers(1, 9))
+            width = int(rng.choice([1, 60, 600, 1200, 3600]))
+            rates = rng.uniform(0.0, 20.0, buckets)
+            rates[rng.random(buckets) < 0.3] = 0.0  # zero-rate buckets
+            periodic = bool(rng.random() < 0.6)
+            profile = ArrivalProfile(width, tuple(float(r) for r in rates), periodic=periodic)
+            span = profile.span_seconds
+            # edges on period and bucket boundaries, and off them
+            interval = int(rng.choice(
+                [span, width, max(1, span // 3), int(rng.integers(1, 2 * span + 2))]))
+            offset = int(rng.choice([0, span, 3 * span, int(rng.integers(0, 5 * span + 1))]))
+            n_intervals = int(rng.integers(1, 30))
+            if not periodic:  # the horizon ends inside the span, or on its end
+                offset = offset % span
+                interval = min(interval, span - offset)
+                n_intervals = min(n_intervals, (span - offset) // interval)
+            cases.append((profile, n_intervals, interval, offset))
+        for profile, n_intervals, interval, offset in cases:
+            prob = self._problem(profile, n_intervals, interval, offset)
+            got = prob.interval_rates()
+            assert got.dtype == np.float64 and got.shape == (n_intervals,)
+            assert got.tolist() == oracles.interval_arrivals(prob), (
+                profile, n_intervals, interval, offset)
+
+    def test_exhaustion_names_the_first_window_end_past_the_span(self):
+        profile = ArrivalProfile(600, (2.0, 0.0, 1.5))
+        for n_intervals, interval, offset in ((4, 600, 0), (3, 700, 100), (2, 600, 5000),
+                                              (1, 1801, 0), (6, 360, 0)):
+            prob = self._problem(profile, n_intervals, interval, offset)
+            with pytest.raises(DataError) as want:
+                oracles.interval_arrivals(prob)
+            with pytest.raises(DataError) as got:
+                prob.interval_rates()
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("profile exhausted: window reaches")
+
+    def test_scalar_views_return_python_floats(self, weekly_profile):
+        assert type(weekly_profile.expected_arrivals(0, 7200)) is float
+        assert type(weekly_profile.mean_rate_per_hour()) is float
+        assert weekly_profile.expected_arrivals(0, 7200) == oracles.cumulative_arrivals(
+            weekly_profile.rates, weekly_profile.bucket_seconds, True, 7200)
+        for bad in ((-1.0, 5.0), (5.0, 4.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                    (0.0, 2.0**53 + 2)):
+            with pytest.raises(ValueError):
+                weekly_profile.expected_arrivals(*bad)
+
+
 class TestCalibrate:
     def test_slack_bound_needs_no_penalty(self):
         prob = small_problem()
@@ -417,6 +482,20 @@ class TestCalibrate:
             profile=ArrivalProfile(600, (0.05,) * 4))
         with pytest.raises(InfeasibleError):
             calibrate_penalty(prob, bound=0.01)
+
+    def test_out_of_domain_bound_rejected_before_any_solve(self):
+        solves = []
+
+        def solver(problem):
+            solves.append(problem)
+            return solve_efficient(problem)
+
+        prob = small_problem()
+        for bound, tolerance in ((math.nan, 0.05), (math.inf, 0.05), (-1.0, 0.05),
+                                 (0.5, 0.0), (0.5, 1.0), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="bound"):
+                calibrate_penalty(prob, bound=bound, tolerance=tolerance, solver=solver)
+        assert solves == []
 
 
 class TestSerialization:
@@ -486,6 +565,11 @@ class TestProblemValidation:
                 with pytest.raises(ValueError, match=name):
                     small_problem(**{name: bad})
         assert small_problem(n_tasks=np.int64(6), interval_seconds=np.int32(600)).n_tasks == 6
+        with pytest.raises(ValueError, match="past 2"):
+            small_problem(start_offset_seconds=2**53 - 2399)
+        periodic = ArrivalProfile(600, (2.0, 3.5, 1.0, 2.5), periodic=True)
+        last = small_problem(profile=periodic, start_offset_seconds=2**53 - 2400)
+        assert np.all(last.interval_rates() >= 0.0)
         # a grid price missing from a tabulated model is caught when the
         # problem is built, not partway through a solve
         sparse = TabulatedAcceptance({c: 0.1 + 0.1 * c for c in (0, 1, 3, 4, 5, 6, 7, 8)})

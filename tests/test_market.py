@@ -17,6 +17,7 @@ from crowdpricer import (
     truncation_threshold,
 )
 from crowdpricer.market import (
+    _transition_tables,
     grid_from_dict,
     grid_to_dict,
     model_from_dict,
@@ -165,6 +166,16 @@ class TestTruncationThreshold:
 
     def test_zero_rate(self):
         assert truncation_threshold(0.0, 1e-9) == 1
+
+    def test_is_the_cap_of_the_solver_tables(self):
+        """The solver builds one table for many means at once, sized by the
+        largest; each row's cap is the threshold of its own mean, or N."""
+        lams = np.logspace(-3, 4, 57)
+        for eps in (1e-6, 1e-9, 1e-12):
+            s0 = np.array([truncation_threshold(float(lam), eps) for lam in lams])
+            for n_max in (int(s0.max()) + 3, 40, 1):
+                caps = _transition_tables(lams, n_max, eps)[2]
+                assert caps.tolist() == np.minimum(s0, n_max).tolist()
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
@@ -317,6 +328,34 @@ class TestArrivalProfile:
         assert profile.expected_arrivals(0.0, 120.0) == pytest.approx(8.0)
         with pytest.raises(DataError):
             profile.expected_arrivals(0.0, 121.0)
+
+    def test_time_at_inverts_cumulative(self):
+        """_time_at maps cumulative intensity back to seconds into the span,
+        and never into the inside of a zero-rate bucket."""
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            buckets = int(rng.integers(1, 12))
+            width = int(rng.choice([1, 60, 1200]))
+            rates = rng.uniform(0.1, 9.0, buckets)
+            rates[rng.random(buckets) < 0.4] = 0.0
+            rates[rng.integers(buckets)] = float(rng.uniform(0.1, 9.0))  # one live bucket
+            periodic = bool(rng.random() < 0.5)
+            profile = ArrivalProfile(width, tuple(rates.tolist()), periodic=periodic)
+            total = float(np.sum(rates))
+            prefix = np.concatenate(([0.0], np.cumsum(rates)))
+            r = np.concatenate((rng.uniform(0.0, total, 200), prefix))
+            t = profile._time_at(r)
+            assert np.all((t >= 0.0) & (t <= profile.span_seconds))
+            back = np.array([profile.expected_arrivals(0.0, float(x)) for x in t])
+            np.testing.assert_allclose(back, r, rtol=0, atol=1e-12 * total)
+            k = np.minimum(t // width, buckets - 1).astype(int)
+            assert not np.any((t > k * width) & (rates[k] == 0.0))
+            # and forward then back is the identity inside live buckets
+            live = np.flatnonzero(rates)
+            s = (live[rng.integers(len(live), size=50)] + rng.random(50)) * width
+            fwd = np.array([profile.expected_arrivals(0.0, float(x)) for x in s])
+            np.testing.assert_allclose(profile._time_at(fwd), s, rtol=0,
+                                       atol=1e-9 * profile.span_seconds)
 
     def test_span_and_mean_rate(self):
         profile = ArrivalProfile(bucket_seconds=1200, rates=(6.0, 6.0))
