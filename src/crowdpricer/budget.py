@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DataError, InfeasibleError
+from .errors import CapacityError, DataError, DomainError, InfeasibleError
 from .market import AcceptanceModel, PriceGrid, _require_int
 
 # below this acceptance probability a price is treated as unusable: the
@@ -51,6 +51,21 @@ class BudgetProblem:
             )
 
 
+def _allocation_entries(entries) -> tuple[tuple[int, int], ...]:
+    """The (price, count) pairs of an allocation as a tuple of int pairs.
+    Each price must be an integer >= 0 and each count an integer >= 1, and
+    there must be at least one pair; otherwise DomainError (a ValueError)."""
+    entries = tuple(entries)
+    if not entries:
+        raise DomainError("allocation needs at least one entry")
+    for c, k in entries:
+        _require_int("price", c)
+        _require_int("count", k)
+        if c < 0 or k < 1:
+            raise DomainError(f"bad allocation entry ({c}, {k})")
+    return tuple((int(c), int(k)) for c, k in entries)
+
+
 @dataclass(frozen=True)
 class StaticAllocation:
     """(price, count) groups plus their expected workload and latency."""
@@ -60,13 +75,7 @@ class StaticAllocation:
     expected_latency_hours: float
 
     def __post_init__(self) -> None:
-        entries = tuple((int(c), int(k)) for c, k in self.entries)
-        if not entries:
-            raise ValueError("allocation needs at least one entry")
-        for c, k in entries:
-            if c < 0 or k < 1:
-                raise ValueError(f"bad allocation entry ({c}, {k})")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _allocation_entries(self.entries))
 
     @property
     def n_tasks(self) -> int:

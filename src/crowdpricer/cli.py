@@ -1,9 +1,15 @@
 """Command line front end.
 
-Every document-producing command embeds a run manifest (command name,
-resolved parameters, sha256 of each input file, tool version) and writes JSON
-with sorted keys, so re-running the same invocation on the same inputs yields
-byte-identical output.
+Every command runs through one pipeline in `main`.  A command's handler
+reads its inputs, recording the sha256 of each input file, and returns its
+document, the files written beside it (`simulate --csv`, `fit arrival
+--csv-out`) and its summary lines.  The pipeline embeds a run manifest
+(command name, resolved parameters, input digests, tool version) in the
+document and writes it as JSON with sorted keys, so re-running the same
+invocation on the same inputs yields byte-identical output; then it writes
+the side files, and prints the summary only when the document went to a
+file.  `_bad_input` turns a constructor's ValueError into bad input data,
+and a warning prints as one `warning: <message>` line.
 
 Exit codes: 0 success, 2 bad command line, 3 bad input data, 4 infeasible
 instance, 5 anything else.
@@ -12,6 +18,7 @@ instance, 5 anything else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -20,10 +27,12 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 from . import __version__
-from .budget import BudgetProblem, solve_static_exact, solve_static_lp
+from .budget import BudgetProblem, _allocation_entries, solve_static_exact, solve_static_lp
 from .deadline import (
+    SCHEMA_VERSION,
     DeadlineProblem,
     _calibrated_solve,
     evaluate_policy_exact,
@@ -74,18 +83,12 @@ from .tradeoff import (
     solve_tradeoff,
 )
 
-DOC_SCHEMA = 1
-
-# flags that define a deadline problem; their presence in `simulate --policy`
-# triggers a cross-check against the problem embedded in the policy file
+# flags that define a deadline problem.  Policy and allocation documents
+# embed all but --arrival-csv, so `simulate --alloc` rejects those, and with
+# `simulate --policy` they trigger a cross-check against the policy's problem
 _CORE_PROBLEM_FLAGS = (
-    ("--tasks", "tasks"),
-    ("--deadline-hours", "deadline_hours"),
-    ("--intervals", "intervals"),
-    ("--arrival-csv", "arrival_csv"),
-    ("--acceptance", "acceptance"),
-    ("--acceptance-table", "acceptance_table"),
-    ("--max-price", "max_price"),
+    "--tasks", "--deadline-hours", "--intervals", "--arrival-csv",
+    "--acceptance", "--acceptance-table", "--max-price",
 )
 
 
@@ -124,27 +127,23 @@ def _read_json(path: str, digests: dict[str, str]) -> dict:
 def _read_policy(path: str, digests: dict[str, str]):
     """Problem and policy from the policy document in `path`."""
     doc = _read_json(path, digests)
-    try:
+    with _bad_input(f"{path}: ", DataError):
         return policy_from_dict(doc)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
-def _manifest(args: argparse.Namespace, digests: dict[str, str]) -> dict:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if not k.startswith("_") and k not in ("func", "command")
-    }
-    # nested subparsers cannot overwrite `command` (argparse only applies a
-    # parser default when the attribute is absent), so fit subcommands carry
-    # their name in _command instead
-    return {
-        "command": getattr(args, "_command", args.command),
-        "resolved_parameters": params,
-        "input_digests": digests,
-        "tool_version": __version__,
-    }
+@contextlib.contextmanager
+def _bad_input(prefix: str, errors=ValueError):
+    """Re-raise `errors` from the block as a DataError (exit 3) whose
+    message is `prefix` followed by the original message."""
+    try:
+        yield
+    except errors as exc:
+        raise DataError(f"{prefix}{exc}") from exc
+
+
+def _given(args: argparse.Namespace, flags) -> list[str]:
+    """The flags among `flags` that the command line set, in order."""
+    return [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -172,12 +171,6 @@ def _emit(doc: dict, out: str | None) -> None:
         raise
 
 
-def _say(args: argparse.Namespace, line: str) -> None:
-    # human summary goes to stdout only when the document went to a file
-    if args.out is not None:
-        print(line)
-
-
 # ---------------------------------------------------------------------------
 # Building blocks shared across subcommands.
 
@@ -188,11 +181,9 @@ def _parse_acceptance_triple(text: str) -> LogisticAcceptance:
         raise DataError(
             f"--acceptance expects 'S,B,M' (scale, bias, market mass), got {text!r}"
         )
-    try:
+    with _bad_input(f"bad --acceptance triple {text!r}: "):
         s, b, m = (float(x) for x in parts)
         return LogisticAcceptance(scale_s=s, bias_b=b, market_mass_m=m)
-    except ValueError as exc:
-        raise DataError(f"bad --acceptance triple {text!r}: {exc}") from exc
 
 
 def _load_acceptance_table(path: str) -> TabulatedAcceptance:
@@ -205,10 +196,8 @@ def _load_acceptance_table(path: str) -> TabulatedAcceptance:
         if c in entries:
             raise DataError(f"{path}: row {row_no}: duplicate price {c}")
         entries[c] = p
-    try:
+    with _bad_input(f"{path}: "):
         return TabulatedAcceptance(entries=entries)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def _build_model(args: argparse.Namespace, digests: dict[str, str]):
@@ -219,12 +208,10 @@ def _build_model(args: argparse.Namespace, digests: dict[str, str]):
 
 
 def _build_grid(args: argparse.Namespace) -> PriceGrid:
-    try:
+    with _bad_input("bad price grid: "):
         return PriceGrid(
             min_price=args.min_price, max_price=args.max_price, step=args.price_step
         )
-    except ValueError as exc:
-        raise DataError(f"bad price grid: {exc}") from exc
 
 
 def _load_profile(args: argparse.Namespace, digests: dict[str, str]) -> ArrivalProfile:
@@ -251,17 +238,14 @@ def _interval_seconds(deadline_hours: float, intervals: int) -> int:
 def _build_deadline_problem(
     args: argparse.Namespace, digests: dict[str, str]
 ) -> DeadlineProblem:
-    missing = [
-        flag
-        for flag, attr in _CORE_PROBLEM_FLAGS
-        if attr not in ("acceptance", "acceptance_table")
-        and getattr(args, attr) is None
-    ]
-    if args.acceptance is None and args.acceptance_table is None:
+    model_flags = ("--acceptance", "--acceptance-table")
+    given = _given(args, _CORE_PROBLEM_FLAGS)
+    missing = [f for f in _CORE_PROBLEM_FLAGS if f not in given and f not in model_flags]
+    if not _given(args, model_flags):
         missing.append("--acceptance or --acceptance-table")
     if missing:
         args._parser.error(f"missing {', '.join(missing)}")
-    try:
+    with _bad_input("bad problem: "):
         return DeadlineProblem(
             n_tasks=args.tasks,
             n_intervals=args.intervals,
@@ -274,18 +258,16 @@ def _build_deadline_problem(
             existence_alpha=args.existence_alpha,
             epsilon=args.epsilon,
         )
-    except ValueError as exc:
-        raise DataError(f"bad problem: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: (flags, input digests) -> (document, side files as
+# (writer, object, path or None), summary lines).
 
 
-def _cmd_solve_deadline(args: argparse.Namespace) -> int:
+def _cmd_solve_deadline(args: argparse.Namespace, digests: dict[str, str]):
     if args.bound is not None and args.penalty is not None:
         args._parser.error("--penalty and --bound are mutually exclusive")
-    digests: dict[str, str] = {}
     problem = _build_deadline_problem(args, digests)
     solver = solve_simple if args.solver == "simple" else solve_efficient
     calibration = None
@@ -303,7 +285,6 @@ def _cmd_solve_deadline(args: argparse.Namespace) -> int:
         policy = solver(problem)
         ev = evaluate_policy_exact(problem, policy)
     doc = policy_to_dict(problem, policy)
-    doc["manifest"] = _manifest(args, digests)
     doc["summary"] = {
         "opt_cost_cents": float(policy.opt[problem.n_tasks, 0]),
         "expected_cost_cents": ev.expected_cost,
@@ -312,22 +293,22 @@ def _cmd_solve_deadline(args: argparse.Namespace) -> int:
         "penalty_cents": problem.penalty,
         "calibration": calibration,
     }
-    _emit(doc, args.out)
-    _say(args, f"opt_cost_cents: {doc['summary']['opt_cost_cents']:.6f}")
-    _say(args, f"expected_cost_cents: {ev.expected_cost:.6f}")
-    _say(args, f"expected_remaining: {ev.expected_remaining:.6g}")
-    _say(args, f"completion_probability: {1.0 - ev.pr_any_remaining:.6g}")
-    _say(args, f"penalty_cents: {problem.penalty:.6f}")
+    summary = [
+        f"opt_cost_cents: {doc['summary']['opt_cost_cents']:.6f}",
+        f"expected_cost_cents: {ev.expected_cost:.6f}",
+        f"expected_remaining: {ev.expected_remaining:.6g}",
+        f"completion_probability: {1.0 - ev.pr_any_remaining:.6g}",
+        f"penalty_cents: {problem.penalty:.6f}",
+    ]
     if calibration is not None:
-        _say(args, f"calibration_achieved: {calibration['achieved']:.6g}")
-    return 0
+        summary.append(f"calibration_achieved: {calibration['achieved']:.6g}")
+    return doc, (), summary
 
 
-def _cmd_solve_budget(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_solve_budget(args: argparse.Namespace, digests: dict[str, str]):
     model = _build_model(args, digests)
     grid = _build_grid(args)
-    try:
+    with _bad_input("bad problem: "):
         problem = BudgetProblem(
             n_tasks=args.tasks,
             budget=args.budget,
@@ -335,12 +316,9 @@ def _cmd_solve_budget(args: argparse.Namespace) -> int:
             grid=grid,
             mean_rate=args.mean_rate,
         )
-    except ValueError as exc:
-        raise DataError(f"bad problem: {exc}") from exc
     alloc = solve_static_exact(problem) if args.exact else solve_static_lp(problem)
     doc = {
-        "schema_version": DOC_SCHEMA,
-        "manifest": _manifest(args, digests),
+        "schema_version": SCHEMA_VERSION,
         "problem": {
             "n_tasks": problem.n_tasks,
             "budget": problem.budget,
@@ -356,6 +334,12 @@ def _cmd_solve_budget(args: argparse.Namespace) -> int:
             "expected_latency_hours": alloc.expected_latency_hours,
         },
     }
+    summary = [
+        "allocation: " + ", ".join(f"{k} @ {c}" for c, k in alloc.entries),
+        f"total_cost_cents: {alloc.total_cost}",
+        f"expected_workers: {alloc.expected_workers:.6f}",
+        f"expected_latency_hours: {alloc.expected_latency_hours:.6f}",
+    ]
     if args.exact:
         # how much the rounded relaxation gives away against the true optimum
         lp = solve_static_lp(problem)
@@ -363,59 +347,40 @@ def _cmd_solve_budget(args: argparse.Namespace) -> int:
             "expected_workers_lp": lp.expected_workers,
             "gap": lp.expected_workers - alloc.expected_workers,
         }
-    _emit(doc, args.out)
-    _say(args, "allocation: " + ", ".join(f"{k} @ {c}" for c, k in alloc.entries))
-    _say(args, f"total_cost_cents: {alloc.total_cost}")
-    _say(args, f"expected_workers: {alloc.expected_workers:.6f}")
-    _say(args, f"expected_latency_hours: {alloc.expected_latency_hours:.6f}")
-    if args.exact:
-        _say(args, f"lp_gap_expected_workers: {doc['lp_comparison']['gap']:.6f}")
-    return 0
+        summary.append(f"lp_gap_expected_workers: {doc['lp_comparison']['gap']:.6f}")
+    return doc, (), summary
 
 
 def _sim_config(args: argparse.Namespace) -> SimulationConfig:
-    try:
+    with _bad_input(""):
         return SimulationConfig(trials=args.trials, seed=args.seed, parallel=args.parallel)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
     config = _sim_config(args)
+    # the problem flags that policy and allocation documents embed
+    doc_flags = _given(args, [f for f in _CORE_PROBLEM_FLAGS if f != "--arrival-csv"])
 
     if args.alloc is not None:
-        extra = [
-            flag
-            for flag, attr in _CORE_PROBLEM_FLAGS
-            if attr != "arrival_csv" and getattr(args, attr) is not None
-        ]
-        if extra:
+        if doc_flags:
             args._parser.error(
-                f"{', '.join(extra)} cannot be combined with --alloc "
+                f"{', '.join(doc_flags)} cannot be combined with --alloc "
                 f"(the allocation document embeds its model)"
             )
         if args.arrival_csv is None:
             args._parser.error("--alloc needs --arrival-csv for worker arrivals")
         raw = _read_json(args.alloc, digests)
-        try:
-            entries = tuple(
-                (int(e["price"]), int(e["count"]))
-                for e in raw["allocation"]["entries"]
+        with _bad_input(f"{args.alloc}: bad allocation document: ",
+                        (KeyError, TypeError, ValueError)):
+            entries = _allocation_entries(
+                (e["price"], e["count"]) for e in raw["allocation"]["entries"]
             )
             model = model_from_dict(raw["problem"]["model"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.alloc}: bad allocation document: {exc}") from exc
         profile = _load_profile(args, digests)
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
         problem, policy = _read_policy(args.policy, digests)
-        non_profile_flags = any(
-            getattr(args, attr) is not None
-            for _, attr in _CORE_PROBLEM_FLAGS
-            if attr != "arrival_csv"
-        )
-        if non_profile_flags:
+        if doc_flags:
             flag_problem = _build_deadline_problem(args, digests)
             d_flags = problem_digest(flag_problem)
             if policy.problem_digest != d_flags:
@@ -437,37 +402,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report = simulate_deadline(problem, policy, config)
     else:
         problem = _build_deadline_problem(args, digests)
-        try:
+        with _bad_input(""):
             strategy = FixedPrice(args.fixed_price)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
         report = simulate_deadline(problem, strategy, config)
 
     doc = report_to_dict(report, include_per_trial=args.per_trial)
-    doc["manifest"] = _manifest(args, digests)
-    _emit(doc, args.out)
-    if args.csv is not None:
-        write_trials_csv(report, args.csv)
     agg = doc["aggregates"]
-    _say(args, f"strategy: {report.strategy_descriptor}")
-    _say(args, f"mean_cost: {agg['mean_cost']:.6f} (se {agg['se_cost']:.6f})")
-    _say(args, f"mean_remaining: {agg['mean_remaining']:.6f}")
-    _say(args, f"completion_rate: {agg['completion_rate']:.6f}")
+    summary = [
+        f"strategy: {report.strategy_descriptor}",
+        f"mean_cost: {agg['mean_cost']:.6f} (se {agg['se_cost']:.6f})",
+        f"mean_remaining: {agg['mean_remaining']:.6f}",
+        f"completion_rate: {agg['completion_rate']:.6f}",
+    ]
     if agg["mean_completion_seconds"] is not None:
-        _say(args, f"mean_completion_seconds: {agg['mean_completion_seconds']:.3f}")
-    return 0
+        summary.append(f"mean_completion_seconds: {agg['mean_completion_seconds']:.3f}")
+    return doc, [(write_trials_csv, report, args.csv)], summary
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     config = None if args.trials is None else _sim_config(args)
     problem = _build_deadline_problem(args, digests)
     price, prob = baseline_fixed_price(problem, args.confidence)
     ev = evaluate_fixed_price(problem, price)
     floor = price_floor_c0(problem)
     doc = {
-        "schema_version": DOC_SCHEMA,
-        "manifest": _manifest(args, digests),
+        "schema_version": SCHEMA_VERSION,
         "baseline": {
             "price_cents": price,
             "completion_probability": prob,
@@ -479,6 +438,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         "comparison": None,
         "simulation": None,
     }
+    summary = [
+        f"baseline_price_cents: {price}",
+        f"completion_probability: {prob:.6g}",
+        f"expected_cost_cents: {ev.expected_cost:.6f}",
+        f"price_floor_cents: {'none' if floor is None else f'{floor:.6f}'}",
+    ]
     if args.compare_policy is not None:
         other_problem, other_policy = _read_policy(args.compare_policy, digests)
         ours, theirs = problem_to_dict(problem), problem_to_dict(other_problem)
@@ -501,22 +466,14 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             "dynamic_expected_cost_cents": dyn.expected_cost,
             "cost_reduction": cost_reduction(ev.expected_cost, dyn.expected_cost),
         }
+        summary.append(f"cost_reduction: {doc['comparison']['cost_reduction']:.6g}")
     if config is not None:
         report = simulate_deadline(problem, FixedPrice(price), config)
         doc["simulation"] = report_to_dict(report)
-    _emit(doc, args.out)
-    _say(args, f"baseline_price_cents: {price}")
-    _say(args, f"completion_probability: {prob:.6g}")
-    _say(args, f"expected_cost_cents: {ev.expected_cost:.6f}")
-    floor_txt = "none" if floor is None else f"{floor:.6f}"
-    _say(args, f"price_floor_cents: {floor_txt}")
-    if doc["comparison"] is not None:
-        _say(args, f"cost_reduction: {doc['comparison']['cost_reduction']:.6g}")
-    return 0
+    return doc, (), summary
 
 
-def _cmd_fit_arrival(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
     profiles = []
     for path in args.csv:
         _digest_file(path, digests)
@@ -530,20 +487,17 @@ def _cmd_fit_arrival(args: argparse.Namespace) -> int:
         if args.periodic:
             profile = dataclasses.replace(profile, periodic=True)
     doc = {
-        "schema_version": DOC_SCHEMA,
-        "manifest": _manifest(args, digests),
+        "schema_version": SCHEMA_VERSION,
         "profile": profile_to_dict(profile),
     }
-    _emit(doc, args.out)
-    if args.csv_out is not None:
-        write_arrival_csv(profile, args.csv_out)
-    _say(args, f"buckets: {len(profile.rates)} x {profile.bucket_seconds}s")
-    _say(args, f"mean_rate_per_hour: {profile.mean_rate_per_hour():.6f}")
-    return 0
+    summary = [
+        f"buckets: {len(profile.rates)} x {profile.bucket_seconds}s",
+        f"mean_rate_per_hour: {profile.mean_rate_per_hour():.6f}",
+    ]
+    return doc, [(write_arrival_csv, profile, args.csv_out)], summary
 
 
-def _cmd_fit_acceptance(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
     _digest_file(args.csv, digests)
     observations = load_observations_csv(args.csv)
     fit = fit_wage_utility(observations, task_type=args.task_type)
@@ -554,8 +508,7 @@ def _cmd_fit_acceptance(args: argparse.Namespace) -> int:
         mass_normalization_seconds=args.mass_normalization,
     )
     doc = {
-        "schema_version": DOC_SCHEMA,
-        "manifest": _manifest(args, digests),
+        "schema_version": SCHEMA_VERSION,
         "fit": {
             "linear_coefficient": fit.linear_coefficient,
             "bias": fit.bias,
@@ -566,24 +519,21 @@ def _cmd_fit_acceptance(args: argparse.Namespace) -> int:
         "model": model_to_dict(derived.model),
         "derivation": derived.derivation,
     }
-    _emit(doc, args.out)
-    _say(args, f"linear_coefficient: {fit.linear_coefficient:.6f}")
-    _say(args, f"bias: {fit.bias:.6f}")
-    _say(args, f"r_squared: {fit.r_squared:.6f}")
     m = derived.model
-    _say(
-        args,
+    summary = [
+        f"linear_coefficient: {fit.linear_coefficient:.6f}",
+        f"bias: {fit.bias:.6f}",
+        f"r_squared: {fit.r_squared:.6f}",
         f"model: logistic scale_s={m.scale_s:.6f} bias_b={m.bias_b:.6f} "
         f"market_mass_m={m.market_mass_m:.6f}",
-    )
-    return 0
+    ]
+    return doc, (), summary
 
 
-def _cmd_tradeoff(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
     model = _build_model(args, digests)
     grid = _build_grid(args)
-    try:
+    with _bad_input("bad problem: "):
         market = (
             FixedRateMarket(workers_per_interval=args.rate)
             if args.variant == "fixed-rate"
@@ -592,12 +542,9 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         problem = TradeoffProblem(
             n_tasks=args.tasks, alpha=args.alpha, model=model, grid=grid, market=market
         )
-    except ValueError as exc:
-        raise DataError(f"bad problem: {exc}") from exc
     solution = solve_tradeoff(problem)
     doc = {
-        "schema_version": DOC_SCHEMA,
-        "manifest": _manifest(args, digests),
+        "schema_version": SCHEMA_VERSION,
         "problem": {
             "n_tasks": problem.n_tasks,
             "alpha": problem.alpha,
@@ -609,11 +556,12 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         "prices": solution.prices.tolist(),
         "values": solution.values.tolist(),
     }
-    _emit(doc, args.out)
     n = problem.n_tasks
-    _say(args, f"price_at_{n}_remaining: {int(solution.prices[n])}")
-    _say(args, f"total_expected_cost_cents: {float(solution.values[n]):.6f}")
-    return 0
+    summary = [
+        f"price_at_{n}_remaining: {int(solution.prices[n])}",
+        f"total_expected_cost_cents: {float(solution.values[n]):.6f}",
+    ]
+    return doc, (), summary
 
 
 # ---------------------------------------------------------------------------
@@ -925,21 +873,42 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    formatwarning = warnings.formatwarning
+    # a warning is about the user's input, not about the line that raised it
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        digests: dict[str, str] = {}
+        doc, side_files, summary = args.func(args, digests)
+        doc["manifest"] = {
+            # nested subparsers cannot overwrite `command` (argparse only
+            # applies a parser default when the attribute is absent), so fit
+            # subcommands carry their name in _command instead
+            "command": getattr(args, "_command", args.command),
+            "resolved_parameters": {
+                k: v
+                for k, v in vars(args).items()
+                if not k.startswith("_") and k not in ("func", "command")
+            },
+            "input_digests": digests,
+            "tool_version": __version__,
+        }
+        _emit(doc, args.out)
+        for write, obj, path in side_files:
+            if path is not None:
+                write(obj, path)
+        # the human summary goes to stdout only when the document went to a file
+        if args.out is not None:
+            for line in summary:
+                print(line)
+        return 0
     except CrowdPricerError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, InfeasibleError) else 5
     except Exception as exc:  # CLI boundary: report, do not traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     finally:
+        warnings.formatwarning = formatwarning
         # an argparse parser is a web of reference cycles, so it waits for the
         # cyclic collector; collect it here, so that callers that run many
         # commands in one process do not hold a parser (~130 KB) per command

@@ -408,12 +408,16 @@ def problem_to_dict(problem: DeadlineProblem) -> dict:
 
 
 def problem_from_dict(d: dict) -> DeadlineProblem:
+    """The problem a document describes.  Values reach the constructors as
+    they are, so a fractional count or a non-bool flag is rejected, except
+    that the real-valued fields go through float(): a JSON number written
+    without a fraction is the same value, and must give the same digest."""
     try:
         return DeadlineProblem(
-            n_tasks=int(d["n_tasks"]),
-            n_intervals=int(d["n_intervals"]),
-            interval_seconds=int(d["interval_seconds"]),
-            start_offset_seconds=int(d.get("start_offset_seconds", 0)),
+            n_tasks=d["n_tasks"],
+            n_intervals=d["n_intervals"],
+            interval_seconds=d["interval_seconds"],
+            start_offset_seconds=d.get("start_offset_seconds", 0),
             penalty=float(d["penalty"]),
             existence_alpha=float(d.get("existence_alpha", 0.0)),
             epsilon=float(d.get("epsilon", 1e-9)),

@@ -285,6 +285,19 @@ def derive_acceptance_model(
     mass_k = market_total_per_hour * task_seconds
     market_mass_m = mass_k / mass_normalization_seconds
     bias_b = math.log(mass_normalization_seconds) - fit.bias
+    # finite inputs can still overflow (or underflow) the derived parameters
+    for name, value, ok, formula in (
+        ("scale_s", scale_s, 0.0 < scale_s < math.inf,
+         f"100 * task_seconds / alpha = 100 * {task_seconds:g} / {alpha:g}"),
+        ("market_mass_m", market_mass_m, math.isfinite(market_mass_m),
+         "market_total_per_hour * task_seconds / mass_normalization_seconds = "
+         f"{market_total_per_hour:g} * {task_seconds:g} / {mass_normalization_seconds:g}"),
+        ("bias_b", bias_b, math.isfinite(bias_b),
+         f"ln(mass_normalization_seconds) - bias = ln({mass_normalization_seconds:g}) "
+         f"- {fit.bias:g}"),
+    ):
+        if not ok:
+            raise DomainError(f"derived {name} = {formula} = {value:g}, outside its domain")
     model = LogisticAcceptance(
         scale_s=scale_s, bias_b=bias_b, market_mass_m=market_mass_m
     )

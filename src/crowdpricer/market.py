@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 
 def _require_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class ArrivalProfile:
         _require_int("bucket_seconds", self.bucket_seconds)
         if self.bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
+        if not isinstance(self.periodic, (bool, np.bool_)):
+            raise ValueError(f"periodic must be a bool, got {self.periodic!r}")
+        object.__setattr__(self, "periodic", bool(self.periodic))
         rates = tuple(float(r) for r in self.rates)
         if not rates:
             raise ValueError("profile needs at least one bucket")
@@ -362,9 +365,9 @@ def profile_to_dict(profile: ArrivalProfile) -> dict:
 def profile_from_dict(d: dict) -> ArrivalProfile:
     try:
         return ArrivalProfile(
-            bucket_seconds=int(d["bucket_seconds"]),
-            rates=tuple(float(r) for r in d["rates"]),
-            periodic=bool(d.get("periodic", False)),
+            bucket_seconds=d["bucket_seconds"],
+            rates=d["rates"],
+            periodic=d.get("periodic", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad arrival profile document: {exc}") from exc
@@ -415,9 +418,9 @@ def grid_to_dict(grid: PriceGrid) -> dict:
 def grid_from_dict(d: dict) -> PriceGrid:
     try:
         return PriceGrid(
-            min_price=int(d["min_price"]),
-            max_price=int(d["max_price"]),
-            step=int(d.get("step", 1)),
+            min_price=d["min_price"],
+            max_price=d["max_price"],
+            step=d.get("step", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad price grid document: {exc}") from exc

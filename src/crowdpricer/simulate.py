@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .deadline import (
+    SCHEMA_VERSION,
     DeadlinePolicy,
     DeadlineProblem,
     PolicyEvaluation,
@@ -27,7 +28,7 @@ from .deadline import (
     evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
-from .budget import DEAD_PRICE_FLOOR
+from .budget import DEAD_PRICE_FLOOR, _allocation_entries
 from .errors import DataError, DomainError, InfeasibleError
 from .market import (
     AcceptanceModel,
@@ -36,8 +37,6 @@ from .market import (
     _require_int,
     poisson_tables,
 )
-
-SCHEMA_VERSION = 1
 
 _BLOCK = 1024  # trials per block
 _BLOCK_CELLS = 1 << 18  # bound on trials x tasks in one budget block
@@ -217,13 +216,8 @@ def simulate_budget(
     covers `need`, the finishing arrival is the Beta(need, count - need + 1)
     order statistic of the profile's intensity; otherwise the trial is
     partial (remaining > 0, no completion time, workers = count)."""
-    prices: list[int] = []
-    for c, k in entries:
-        if k < 1 or c < 0:
-            raise ValueError(f"bad allocation entry ({c}, {k})")
-        prices.extend([int(c)] * int(k))
-    if not prices:
-        raise ValueError("allocation is empty")
+    entries = _allocation_entries(entries)
+    prices = [c for c, k in entries for _ in range(k)]
     prices_desc = np.array(sorted(prices, reverse=True), dtype=np.int64)
     probs_desc = np.array([model.probability(int(c)) for c in prices_desc])
     if np.any(probs_desc < DEAD_PRICE_FLOOR):

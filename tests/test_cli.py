@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import crowdpricer.cli as cli
 import crowdpricer.deadline as deadline
 import crowdpricer.estimation as estimation
 import crowdpricer.jsonstream as jsonstream
+import crowdpricer.market as market
 import crowdpricer.simulate as simulate
 from conftest import cli_env
 
@@ -176,7 +178,7 @@ class TestSolveDeadline:
                     "--bound", "0.5", "--out", "pol_cal.json")
         assert r.returncode == 0, r.stderr
         # the calibrated penalty is the program's choice: no warning about it
-        assert "UserWarning" not in r.stderr
+        assert r.stderr == ""
         doc = load(ws, "pol_cal.json")
         cal = doc["summary"]["calibration"]
         assert cal["bound"] == 0.5
@@ -193,7 +195,7 @@ class TestSolveDeadline:
                     "--bound", "4", "--out", "pol_cal4.json")
         assert r.returncode == 0, r.stderr
         assert load(ws, "pol_cal4.json")["summary"]["penalty_cents"] < 20
-        assert "UserWarning" not in r.stderr
+        assert r.stderr == ""
 
     def test_infeasible_bound_exits_4(self, ws):
         # price-capped logistic market cannot push remaining below 0.5
@@ -329,6 +331,24 @@ class TestSimulate:
         assert (abs(agg["mean_workers"] - alloc["expected_workers"])
                 <= 3 * agg["se_workers"])
 
+    @pytest.mark.parametrize("entries, reason", [
+        ([{"price": 11, "count": 0}], "bad allocation entry (11, 0)"),
+        ([{"price": -1, "count": 2}], "bad allocation entry (-1, 2)"),
+        ([], "allocation needs at least one entry"),
+        ([{"price": 11, "count": 2.7}, {"price": 12, "count": 2}],
+         "count must be an integer, got 2.7"),
+        ([{"price": 11, "count": True}], "count must be an integer, got True"),
+    ], ids=["count-0", "price-negative", "empty", "count-2.7", "count-true"])
+    def test_alloc_bad_entry_exits_3(self, ws, monkeypatch, capsys, entries, reason):
+        doc = ensure(ws, "alloc.json")
+        doc["allocation"]["entries"] = entries
+        (ws / "alloc_bad.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(ws)
+        assert cli.main(["simulate", "--alloc", "alloc_bad.json", "--arrival-csv",
+                         "arr.csv", "--trials", "10"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: alloc_bad.json: bad allocation document: {reason}"]
+
     def test_alloc_rejects_model_flags(self, ws):
         ensure(ws, "alloc.json")
         r = run_cli(ws, "simulate", "--alloc", "alloc.json", "--arrival-csv",
@@ -427,11 +447,19 @@ class TestFlagDomains:
         ([*FIT, "--task-seconds", "nan"], "task_seconds"),
         ([*FIT, "--market-total", "inf"], "market_total_per_hour"),
         ([*FIT, "--mass-normalization", "nan"], "mass_normalization_seconds"),
+        ([*FIT, "--task-seconds", "1e308"], "scale_s = 100 * task_seconds / alpha"),
+        ([*FIT, "--task-seconds", "5e-324"], "scale_s = 100 * task_seconds / alpha"),
+        ([*FIT, "--market-total", "1e308"],
+         "market_mass_m = market_total_per_hour * task_seconds / mass_normalization_seconds"),
+        ([*FIT, "--mass-normalization", "1e-320"],
+         "market_mass_m = market_total_per_hour * task_seconds / mass_normalization_seconds"),
         (["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "0"], "period_buckets"),
     ], ids=["baseline-confidence-1.0", "baseline-confidence--0.1", "baseline-zero-arrivals",
             "baseline-trials-0", "baseline-seed--1", "bound--1", "bound-nan", "bound-inf",
             "bound-tol-2", "deadline-hours-inf", "deadline-hours-1e300", "intervals-0", "task-seconds-nan",
-            "market-total-inf", "mass-normalization-nan", "period-buckets-0"])
+            "market-total-inf", "mass-normalization-nan", "task-seconds-1e308",
+            "task-seconds-5e-324", "market-total-1e308", "mass-normalization-1e-320",
+            "period-buckets-0"])
     def test_exits_3_naming_the_flag(self, ws, monkeypatch, capsys, argv, needle):
         (ws / "arrzero.csv").write_text(
             "t_seconds,count\n" + "".join(f"{i * 1200},0\n" for i in range(6)))
@@ -530,6 +558,117 @@ class TestFit:
     def test_fit_requires_subcommand(self, ws):
         r = run_cli(ws, "fit")
         assert r.returncode == 2
+
+
+def summary_lines(doc):
+    """The stdout summary that `--out` prints, rebuilt from the document."""
+    cmd = doc["manifest"]["command"]
+    if cmd == "solve-deadline":
+        s = doc["summary"]
+        lines = [f"opt_cost_cents: {s['opt_cost_cents']:.6f}",
+                 f"expected_cost_cents: {s['expected_cost_cents']:.6f}",
+                 f"expected_remaining: {s['expected_remaining']:.6g}",
+                 f"completion_probability: {s['completion_probability']:.6g}",
+                 f"penalty_cents: {s['penalty_cents']:.6f}"]
+        if s["calibration"] is not None:
+            lines.append(f"calibration_achieved: {s['calibration']['achieved']:.6g}")
+    elif cmd == "solve-budget":
+        a = doc["allocation"]
+        lines = ["allocation: " + ", ".join(f"{e['count']} @ {e['price']}"
+                                            for e in a["entries"]),
+                 f"total_cost_cents: {a['total_cost_cents']}",
+                 f"expected_workers: {a['expected_workers']:.6f}",
+                 f"expected_latency_hours: {a['expected_latency_hours']:.6f}"]
+        if "lp_comparison" in doc:
+            lines.append(f"lp_gap_expected_workers: {doc['lp_comparison']['gap']:.6f}")
+    elif cmd == "simulate":
+        g = doc["aggregates"]
+        lines = [f"strategy: {doc['strategy_descriptor']}",
+                 f"mean_cost: {g['mean_cost']:.6f} (se {g['se_cost']:.6f})",
+                 f"mean_remaining: {g['mean_remaining']:.6f}",
+                 f"completion_rate: {g['completion_rate']:.6f}"]
+        if g["mean_completion_seconds"] is not None:
+            lines.append(f"mean_completion_seconds: {g['mean_completion_seconds']:.3f}")
+    elif cmd == "baseline":
+        b, floor = doc["baseline"], doc["baseline"]["price_floor_cents"]
+        lines = [f"baseline_price_cents: {b['price_cents']}",
+                 f"completion_probability: {b['completion_probability']:.6g}",
+                 f"expected_cost_cents: {b['expected_cost_cents']:.6f}",
+                 "price_floor_cents: " + ("none" if floor is None else f"{floor:.6f}")]
+        if doc["comparison"] is not None:
+            lines.append(f"cost_reduction: {doc['comparison']['cost_reduction']:.6g}")
+    elif cmd == "tradeoff":
+        n = doc["problem"]["n_tasks"]
+        lines = [f"price_at_{n}_remaining: {doc['prices'][n]}",
+                 f"total_expected_cost_cents: {doc['values'][n]:.6f}"]
+    elif cmd == "fit-arrival":
+        p = doc["profile"]
+        lines = [f"buckets: {len(p['rates'])} x {p['bucket_seconds']}s",
+                 f"mean_rate_per_hour: "
+                 f"{market.profile_from_dict(p).mean_rate_per_hour():.6f}"]
+    else:
+        assert cmd == "fit-acceptance"
+        f, m = doc["fit"], doc["model"]
+        lines = [f"linear_coefficient: {f['linear_coefficient']:.6f}",
+                 f"bias: {f['bias']:.6f}",
+                 f"r_squared: {f['r_squared']:.6f}",
+                 f"model: logistic scale_s={m['scale_s']:.6f} bias_b={m['bias_b']:.6f} "
+                 f"market_mass_m={m['market_mass_m']:.6f}"]
+    return lines
+
+
+class TestPipeline:
+    """Every command runs through one pipeline.  With --out, stdout is the
+    summary, each line a document value in its format; without it, stdout
+    is the document itself."""
+
+    CASES = {
+        **PRODUCERS,
+        "pol_bound.json": ["solve-deadline", *PROB_FLAGS, "--bound", "0.5",
+                           "--out", "pol_bound.json"],
+        "alloc_exact.json": [*PRODUCERS["alloc.json"][:-2], "--exact",
+                             "--out", "alloc_exact.json"],
+        "rep_alloc.json": ["simulate", "--alloc", "alloc.json", "--arrival-csv", "arr.csv",
+                           "--periodic", "--trials", "300", "--seed", "4",
+                           "--out", "rep_alloc.json"],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_stdout_is_the_summary_or_the_document(self, ws, monkeypatch, capsys, name):
+        ensure(ws, "alloc.json")
+        argv = self.CASES[name]
+        monkeypatch.chdir(ws)
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        doc = load(ws, name)
+        assert capsys.readouterr().out.splitlines() == summary_lines(doc)
+        assert cli.main(argv[:-2]) == 0
+        doc["manifest"]["resolved_parameters"]["out"] = None
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestWarnings:
+    """A warning is about the user's input: it prints as one line, with no
+    source location or source line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-deadline", *PROB_FLAGS, "--penalty", "5"],
+         "penalty 5.0 below grid.max_price 20: top prices can never pay off"),
+        (["tradeoff", "--tasks", "5", "--alpha", "3", "--variant", "fixed-rate",
+          "--rate", "300", "--acceptance", "15,-0.39,2000", "--max-price", "50"],
+         "fixed-rate premise strained: max lambda*p(c) = 6.084 > 0.2, "
+         "multiple completions per interval are likely"),
+    ], ids=["penalty", "fixed-rate-premise"])
+    def test_one_line(self, ws, argv, message):
+        r = run_cli(ws, *argv, "--out", "warned.json")
+        assert r.returncode == 0
+        assert r.stderr == f"warning: {message}\n"
+
+    def test_main_restores_the_formatter(self, ws, monkeypatch, capsys):
+        before = warnings.formatwarning
+        monkeypatch.chdir(ws)
+        assert cli.main(["fit", "arrival", "--csv", "bad.csv"]) == 3
+        assert warnings.formatwarning is before
 
 
 class TestManifests:
@@ -783,6 +922,18 @@ class TestPolicyInput:
         (lambda doc: doc.__setitem__("price", []), "price is not a 13x6 matrix"),
     ], ids=["ragged", "string", "null", "object", "empty"])
     def test_malformed_matrix(self, ws, monkeypatch, capsys, edit, reason):
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (["n_tasks"], 12.9, "n_tasks must be an integer, got 12.9"),
+        (["interval_seconds"], 1200.7, "interval_seconds must be an integer, got 1200.7"),
+        (["grid", "max_price"], 20.5, "max_price must be an integer, got 20.5"),
+        (["profile", "periodic"], "no", "periodic must be a bool, got 'no'"),
+    ], ids=["n_tasks", "interval_seconds", "max_price", "periodic"])
+    def test_problem_value_of_the_wrong_type(self, ws, monkeypatch, capsys, path, value,
+                                             reason):
+        def edit(doc):
+            functools.reduce(dict.get, path[:-1], doc["problem"])[path[-1]] = value
         self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
 
     @pytest.mark.parametrize("text, reason", [

@@ -372,6 +372,10 @@ class TestArrivalProfile:
         for bad in (0.5, 60.0, True, "60"):
             with pytest.raises(ValueError, match="bucket_seconds must be an integer"):
                 ArrivalProfile(bucket_seconds=bad, rates=(1.0,))
+        for bad in ("no", 0, 1.0, None):
+            with pytest.raises(ValueError, match="periodic must be a bool"):
+                ArrivalProfile(bucket_seconds=60, rates=(1.0,), periodic=bad)
+        assert ArrivalProfile(60, (1.0,), periodic=np.bool_(True)).periodic is True
 
 
 class TestSerialization:

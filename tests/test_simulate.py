@@ -18,6 +18,7 @@ from crowdpricer import (
     LogisticAcceptance,
     PriceGrid,
     SimulationConfig,
+    StaticAllocation,
     TabulatedAcceptance,
     baseline_fixed_price,
     completion_probability_fixed,
@@ -32,6 +33,7 @@ from crowdpricer import (
     simulate_deadline,
     solve_simple,
 )
+from crowdpricer.errors import DomainError
 from crowdpricer.simulate import report_to_dict, write_trials_csv
 
 # two-sided 99.9% point of chi-square, df = 6
@@ -288,6 +290,24 @@ class TestSimulateBudget:
         profile = ArrivalProfile(60, (1.0,), periodic=True)
         with pytest.raises(ValueError):
             simulate_budget((), profile, model, SimulationConfig(trials=2, seed=1))
+
+    @pytest.mark.parametrize("entries, reason", [
+        (((11, 0),), r"bad allocation entry \(11, 0\)"),
+        (((-1, 2),), r"bad allocation entry \(-1, 2\)"),
+        ((), "allocation needs at least one entry"),
+        (((11, 2.7), (12, 2)), "count must be an integer, got 2.7"),
+        (((12.9, 2),), "price must be an integer, got 12.9"),
+        (((11, True),), "count must be an integer, got True"),
+    ], ids=["count-0", "price-negative", "empty", "count-2.7", "price-12.9", "count-true"])
+    def test_allocation_entries_one_rule(self, entries, reason):
+        """StaticAllocation and simulate_budget share one strict entry check:
+        nothing is truncated, and a breach is a DomainError (a ValueError)."""
+        model = TabulatedAcceptance({11: 0.5, 12: 0.5})
+        profile = ArrivalProfile(60, (1.0,), periodic=True)
+        with pytest.raises(DomainError, match=reason):
+            StaticAllocation(entries, expected_workers=1.0, expected_latency_hours=1.0)
+        with pytest.raises(DomainError, match=reason):
+            simulate_budget(entries, profile, model, SimulationConfig(trials=2, seed=1))
 
 
 class TestSimulatorAgreement:
