@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DataError, DomainError, InfeasibleError
-from .market import AcceptanceModel, PriceGrid, _require_int
+from .market import AcceptanceModel, PriceGrid, _check_fields, _require_int
 
 # below this acceptance probability a price is treated as unusable: the
 # expected arrivals 1/p stops being meaningful at any realistic scale
@@ -36,8 +36,7 @@ class BudgetProblem:
     mean_rate: float  # worker arrivals per hour, for latency conversion
 
     def __post_init__(self) -> None:
-        _require_int("n_tasks", self.n_tasks)
-        _require_int("budget", self.budget)
+        _check_fields(self, n_tasks=int, budget=int, mean_rate=float)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.budget < 0:
@@ -55,15 +54,13 @@ def _allocation_entries(entries) -> tuple[tuple[int, int], ...]:
     """The (price, count) pairs of an allocation as a tuple of int pairs.
     Each price must be an integer >= 0 and each count an integer >= 1, and
     there must be at least one pair; otherwise DomainError (a ValueError)."""
-    entries = tuple(entries)
+    entries = tuple((_require_int("price", c), _require_int("count", k)) for c, k in entries)
     if not entries:
         raise DomainError("allocation needs at least one entry")
     for c, k in entries:
-        _require_int("price", c)
-        _require_int("count", k)
         if c < 0 or k < 1:
             raise DomainError(f"bad allocation entry ({c}, {k})")
-    return tuple((int(c), int(k)) for c, k in entries)
+    return entries
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ from .estimation import (
     derive_acceptance_model,
     fit_periodic_profile,
     fit_wage_utility,
+    load_acceptance_table,
     load_arrival_csv,
     load_observations_csv,
-    read_csv_rows,
     write_arrival_csv,
 )
 from .jsonstream import JsonStream
@@ -58,7 +58,6 @@ from .market import (
     ArrivalProfile,
     LogisticAcceptance,
     PriceGrid,
-    TabulatedAcceptance,
     grid_to_dict,
     model_from_dict,
     model_to_dict,
@@ -186,25 +185,11 @@ def _parse_acceptance_triple(text: str) -> LogisticAcceptance:
         return LogisticAcceptance(scale_s=s, bias_b=b, market_mass_m=m)
 
 
-def _load_acceptance_table(path: str) -> TabulatedAcceptance:
-    entries: dict[int, float] = {}
-    for row_no, row in read_csv_rows(path, ["price_cents", "probability"]):
-        try:
-            c, p = int(row[0]), float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {row_no}: bad numeric field") from None
-        if c in entries:
-            raise DataError(f"{path}: row {row_no}: duplicate price {c}")
-        entries[c] = p
-    with _bad_input(f"{path}: "):
-        return TabulatedAcceptance(entries=entries)
-
-
 def _build_model(args: argparse.Namespace, digests: dict[str, str]):
     if args.acceptance is not None:
         return _parse_acceptance_triple(args.acceptance)
     _digest_file(args.acceptance_table, digests)
-    return _load_acceptance_table(args.acceptance_table)
+    return load_acceptance_table(args.acceptance_table)
 
 
 def _build_grid(args: argparse.Namespace) -> PriceGrid:
@@ -509,13 +494,7 @@ def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
     )
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "fit": {
-            "linear_coefficient": fit.linear_coefficient,
-            "bias": fit.bias,
-            "intercepts": fit.intercepts,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-        },
+        "fit": dataclasses.asdict(fit),
         "model": model_to_dict(derived.model),
         "derivation": derived.derivation,
     }

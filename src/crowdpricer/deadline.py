@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .market import (
     ArrivalProfile,
     PriceGrid,
     TabulatedAcceptance,
-    _require_int,
+    _check_fields,
+    _require_real,
     _TIE_REL,
     _transition_tables,
     grid_from_dict,
@@ -82,8 +83,11 @@ class DeadlineProblem:
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("n_tasks", "n_intervals", "interval_seconds", "start_offset_seconds"):
-            _require_int(name, getattr(self, name))
+        if self.penalty is None:
+            object.__setattr__(self, "penalty", 10.0 * self.grid.max_price)
+        _check_fields(self, n_tasks=int, n_intervals=int, interval_seconds=int,
+                      start_offset_seconds=int, penalty=float, existence_alpha=float,
+                      epsilon=float)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.n_intervals < 1:
@@ -92,7 +96,7 @@ class DeadlineProblem:
             raise ValueError("interval_seconds must be positive")
         if self.start_offset_seconds < 0:
             raise ValueError("start_offset_seconds must be >= 0")
-        end = int(self.start_offset_seconds) + int(self.n_intervals) * int(self.interval_seconds)
+        end = self.start_offset_seconds + self.n_intervals * self.interval_seconds
         if end > 2**53:  # the interval edges are float seconds, whole only below this
             raise ValueError(f"the horizon ends at {end} s, past 2**53 s")
         if not (0.0 <= self.epsilon < 1.0):
@@ -106,8 +110,6 @@ class DeadlineProblem:
                     f"tabulated model has no probability for {len(missing)} grid "
                     f"price(s), the first being {missing[0]}"
                 )
-        if self.penalty is None:
-            object.__setattr__(self, "penalty", 10.0 * self.grid.max_price)
         if not (self.penalty >= 0 and np.isfinite(self.penalty)):
             raise ValueError("penalty must be finite and >= 0")
         if 0 < self.penalty < self.grid.max_price:
@@ -393,34 +395,26 @@ def calibrate_penalty(
 
 
 def problem_to_dict(problem: DeadlineProblem) -> dict:
-    return {
-        "n_tasks": problem.n_tasks,
-        "n_intervals": problem.n_intervals,
-        "interval_seconds": problem.interval_seconds,
-        "start_offset_seconds": problem.start_offset_seconds,
-        "penalty": problem.penalty,
-        "existence_alpha": problem.existence_alpha,
-        "epsilon": problem.epsilon,
-        "profile": profile_to_dict(problem.profile),
-        "model": model_to_dict(problem.model),
-        "grid": grid_to_dict(problem.grid),
-    }
+    """One member per field: the profile, model and grid as their documents."""
+    doc = {f.name: getattr(problem, f.name) for f in fields(problem)}
+    doc.update(profile=profile_to_dict(problem.profile), model=model_to_dict(problem.model),
+               grid=grid_to_dict(problem.grid))
+    return doc
 
 
 def problem_from_dict(d: dict) -> DeadlineProblem:
     """The problem a document describes.  Values reach the constructors as
-    they are, so a fractional count or a non-bool flag is rejected, except
-    that the real-valued fields go through float(): a JSON number written
-    without a fraction is the same value, and must give the same digest."""
+    they are, so a fractional count, a non-bool flag or a string number is
+    rejected; so is a null penalty, which the constructor reads as its default."""
     try:
         return DeadlineProblem(
             n_tasks=d["n_tasks"],
             n_intervals=d["n_intervals"],
             interval_seconds=d["interval_seconds"],
             start_offset_seconds=d.get("start_offset_seconds", 0),
-            penalty=float(d["penalty"]),
-            existence_alpha=float(d.get("existence_alpha", 0.0)),
-            epsilon=float(d.get("epsilon", 1e-9)),
+            penalty=_require_real("penalty", d["penalty"]),
+            existence_alpha=d.get("existence_alpha", 0.0),
+            epsilon=d.get("epsilon", 1e-9),
             profile=profile_from_dict(d["profile"]),
             model=model_from_dict(d["model"]),
             grid=grid_from_dict(d["grid"]),

@@ -1,9 +1,11 @@
 """Fitting market parameters from observed marketplace data.
 
-Two ingestion paths:
+Three ingestion paths, each a CSV read by ``read_csv_rows``:
 
 * arrival CSVs (`t_seconds,count` at uniform spacing) become ArrivalProfiles,
   optionally folded onto a period and averaged across files;
+* acceptance tables (`price_cents,probability`) become TabulatedAcceptance
+  models;
 * task-group observation CSVs (`wage_per_second,workload_per_hour,task_type`)
   feed an OLS fit of log(workload) on wage, whose coefficients convert into a
   logistic acceptance model.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .market import ArrivalProfile, LogisticAcceptance
+from .market import ArrivalProfile, LogisticAcceptance, TabulatedAcceptance
 
 
 @dataclass(frozen=True)
@@ -52,36 +54,50 @@ class DerivedModel:
     derivation: dict
 
 
-def read_csv_rows(path: str, header: list[str]):
-    """Yield (row_no, fields) for each data row of a CSV file whose first row
-    is `header`, numbering rows from 1 at the header and skipping blank rows.
-    An empty file, another header or a row with another field count raises
-    DataError naming the file and the row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip() for h in first] != header:
-            raise DataError(
-                f"{path}: row 1: header must be "
-                f"'{','.join(header)}', got '{','.join(first)}'"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate blank lines, such as a trailing one
-            if len(row) != len(header):
+def read_csv_rows(path: str, columns):
+    """Yield (row_no, values) for each data row of a CSV file whose header
+    names `columns`, (name, int | float | str) pairs, numbering rows from 1
+    at the header and skipping blank rows; each field is parsed by its
+    column's type.  An empty file, text that is not UTF-8, another header,
+    a row with another field count or a field that does not parse raises
+    DataError naming the file (and the row)."""
+    header = [name for name, _ in columns]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            if [h.strip() for h in first] != header:
                 raise DataError(
-                    f"{path}: row {row_no}: expected {len(header)} fields, "
-                    f"got {len(row)}"
+                    f"{path}: row 1: header must be "
+                    f"'{','.join(header)}', got '{','.join(first)}'"
                 )
-            yield row_no, row
+            for row_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # tolerate blank lines, such as a trailing one
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_no}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                values = []
+                for (name, kind), text in zip(columns, row):
+                    try:
+                        values.append(kind(text))
+                    except ValueError:
+                        what = "an integer" if kind is int else "a number"
+                        raise DataError(f"{path}: row {row_no}: {name} must be {what}, "
+                                        f"got '{text}'") from None
+                yield row_no, values
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Arrival CSVs.
 
-ARRIVAL_HEADER = ["t_seconds", "count"]
+ARRIVAL_COLUMNS = (("t_seconds", int), ("count", float))
 
 
 def load_arrival_csv(path: str, cumulative_snapshot: bool = False) -> ArrivalProfile:
@@ -93,24 +109,17 @@ def load_arrival_csv(path: str, cumulative_snapshot: bool = False) -> ArrivalPro
     """
     times: list[int] = []
     counts: list[float] = []
-    for row_no, row in read_csv_rows(path, ARRIVAL_HEADER):
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise DataError(
-                f"{path}: row {row_no}: t_seconds must be an integer, got '{row[0]}'"
-            ) from None
-        try:
-            count = float(row[1])
-        except ValueError:
-            raise DataError(
-                f"{path}: row {row_no}: count must be a number, got '{row[1]}'"
-            ) from None
+    for row_no, (t, count) in read_csv_rows(path, ARRIVAL_COLUMNS):
         if t < 0:
             raise DataError(f"{path}: row {row_no}: t_seconds must be non-negative")
         if times and t <= times[-1]:
             raise DataError(
                 f"{path}: row {row_no}: t_seconds must be strictly increasing"
+            )
+        if len(times) >= 2 and t - times[-1] != times[1] - times[0]:
+            raise DataError(
+                f"{path}: row {row_no}: spacing {t - times[-1]} differs from "
+                f"the bucket size {times[1] - times[0]} set by the first two rows"
             )
         if not math.isfinite(count) or count < 0:
             raise DataError(
@@ -120,23 +129,16 @@ def load_arrival_csv(path: str, cumulative_snapshot: bool = False) -> ArrivalPro
         counts.append(count)
     if len(times) < 2:
         raise DataError(f"{path}: need at least 2 rows to infer the bucket size")
-    bucket = times[1] - times[0]
-    for i in range(1, len(times)):
-        if times[i] - times[i - 1] != bucket:
-            raise DataError(
-                f"{path}: row {i + 2}: spacing {times[i] - times[i - 1]} "
-                f"differs from the bucket size {bucket} set by the first two rows"
-            )
     if cumulative_snapshot:
         rates = [max(0.0, counts[i] - counts[i + 1]) for i in range(len(counts) - 1)]
     else:
         rates = counts
-    return ArrivalProfile(bucket_seconds=bucket, rates=tuple(rates), periodic=False)
+    return ArrivalProfile(bucket_seconds=times[1] - times[0], rates=rates, periodic=False)
 
 
 def write_arrival_csv(profile: ArrivalProfile, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ARRIVAL_HEADER) + "\n")
+        fh.write(",".join(name for name, _ in ARRIVAL_COLUMNS) + "\n")
         for i, rate in enumerate(profile.rates):
             fh.write(f"{i * profile.bucket_seconds},{rate!r}\n")
 
@@ -171,26 +173,38 @@ def fit_periodic_profile(
             sums[i % period_buckets] += r
             hits[i % period_buckets] += 1
         folded.append(sums / hits)
-    mean = np.mean(folded, axis=0)
-    return ArrivalProfile(
-        bucket_seconds=bucket, rates=tuple(float(r) for r in mean), periodic=True
-    )
+    return ArrivalProfile(bucket_seconds=bucket, rates=np.mean(folded, axis=0), periodic=True)
+
+
+# ---------------------------------------------------------------------------
+# Acceptance tables.
+
+ACCEPTANCE_COLUMNS = (("price_cents", int), ("probability", float))
+
+
+def load_acceptance_table(path: str) -> TabulatedAcceptance:
+    """Tabulated acceptance model from a `price_cents,probability` CSV."""
+    entries: dict[int, float] = {}
+    for row_no, (c, p) in read_csv_rows(path, ACCEPTANCE_COLUMNS):
+        if c in entries:
+            raise DataError(f"{path}: row {row_no}: duplicate price {c}")
+        entries[c] = p
+    try:
+        return TabulatedAcceptance(entries=entries)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Observation CSVs and the wage-utility fit.
 
-OBSERVATION_HEADER = ["wage_per_second", "workload_per_hour", "task_type"]
+OBSERVATION_COLUMNS = (("wage_per_second", float), ("workload_per_hour", float),
+                       ("task_type", str))
 
 
 def load_observations_csv(path: str) -> list[TaskGroupObservation]:
     out = []
-    for row_no, row in read_csv_rows(path, OBSERVATION_HEADER):
-        try:
-            wage = float(row[0])
-            workload = float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {row_no}: bad numeric field") from None
+    for row_no, (wage, workload, task_type) in read_csv_rows(path, OBSERVATION_COLUMNS):
         if not (math.isfinite(wage) and wage >= 0):
             raise DataError(
                 f"{path}: row {row_no}: wage_per_second must be finite and >= 0"
@@ -200,7 +214,7 @@ def load_observations_csv(path: str) -> list[TaskGroupObservation]:
                 f"{path}: row {row_no}: workload_per_hour must be positive "
                 f"(its log enters the fit)"
             )
-        task_type = row[2].strip()
+        task_type = task_type.strip()
         if not task_type:
             raise DataError(f"{path}: row {row_no}: task_type must be non-empty")
         out.append(TaskGroupObservation(wage, workload, task_type))

@@ -16,21 +16,53 @@ Poisson pickup tables at means lambda_t * p(c) that the deadline solvers,
 the exact evaluator and ``transition_distribution`` read, and holds the
 one rule that sizes their truncated support; ``truncation_threshold`` is
 a view of its cap.
+
+Objects hold plain checked values: each constructor stores every number
+and flag it takes as the Python ``int``, ``float`` or ``bool`` that
+``_check_fields`` returns, so document readers pass values on unchanged,
+writers only lay out fields, and ``300`` and ``300.0`` give one digest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DomainError
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise DomainError(f"{name} is past the float range") from None
+
+
+def _require_bool(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+_CHECKS = {int: _require_int, float: _require_real, bool: _require_bool}
+
+
+def _check_fields(obj, **kinds: type) -> None:
+    """Store each named field of the frozen dataclass obj as a plain value
+    of its kind (int, float or bool).  A bool is not a number, a string is
+    never accepted, and a numpy scalar becomes its Python value."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, _CHECKS[kind](name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -49,13 +81,10 @@ class ArrivalProfile:
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_int("bucket_seconds", self.bucket_seconds)
+        _check_fields(self, bucket_seconds=int, periodic=bool)
         if self.bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
-        if not isinstance(self.periodic, (bool, np.bool_)):
-            raise ValueError(f"periodic must be a bool, got {self.periodic!r}")
-        object.__setattr__(self, "periodic", bool(self.periodic))
-        rates = tuple(float(r) for r in self.rates)
+        rates = tuple(_require_real("rates", r) for r in self.rates)
         if not rates:
             raise ValueError("profile needs at least one bucket")
         for r in rates:
@@ -139,6 +168,7 @@ class LogisticAcceptance(AcceptanceModel):
     market_mass_m: float
 
     def __post_init__(self) -> None:
+        _check_fields(self, scale_s=float, bias_b=float, market_mass_m=float)
         if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
             raise ValueError("scale_s must be positive and finite")
         if not math.isfinite(self.bias_b):
@@ -167,7 +197,10 @@ class TabulatedAcceptance(AcceptanceModel):
     entries: dict[int, float]
 
     def __post_init__(self) -> None:
-        entries = {int(c): float(p) for c, p in self.entries.items()}
+        entries = {
+            _require_int("price", c): _require_real(f"probability for price {c}", p)
+            for c, p in self.entries.items()
+        }
         if not entries:
             raise ValueError("tabulated model needs at least one entry")
         prev_c, prev_p = None, None
@@ -199,8 +232,7 @@ class PriceGrid:
     step: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("min_price", "max_price", "step"):
-            _require_int(name, getattr(self, name))
+        _check_fields(self, min_price=int, max_price=int, step=int)
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.min_price < 0:
@@ -375,12 +407,7 @@ def profile_from_dict(d: dict) -> ArrivalProfile:
 
 def model_to_dict(model: AcceptanceModel) -> dict:
     if isinstance(model, LogisticAcceptance):
-        return {
-            "type": "logistic",
-            "scale_s": model.scale_s,
-            "bias_b": model.bias_b,
-            "market_mass_m": model.market_mass_m,
-        }
+        return {"type": "logistic", **asdict(model)}
     if isinstance(model, TabulatedAcceptance):
         return {
             "type": "tabulated",
@@ -393,26 +420,21 @@ def model_from_dict(d: dict) -> AcceptanceModel:
     try:
         kind = d["type"]
         if kind == "logistic":
-            return LogisticAcceptance(
-                scale_s=float(d["scale_s"]),
-                bias_b=float(d["bias_b"]),
-                market_mass_m=float(d["market_mass_m"]),
-            )
+            return LogisticAcceptance(d["scale_s"], d["bias_b"], d["market_mass_m"])
         if kind == "tabulated":
-            return TabulatedAcceptance(
-                entries={int(c): float(p) for c, p in d["entries"].items()}
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            entries = d["entries"]
+            # only the text model_to_dict writes, so no two keys name one price
+            bad = [k for k in entries if str(int(k)) != k]
+            if bad:
+                raise ValueError(f"tabulated price {bad[0]!r} must be written '{int(bad[0])}'")
+            return TabulatedAcceptance(entries={int(k): p for k, p in entries.items()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad acceptance model document: {exc}") from exc
     raise DataError(f"unknown acceptance model type: {kind!r}")
 
 
 def grid_to_dict(grid: PriceGrid) -> dict:
-    return {
-        "min_price": grid.min_price,
-        "max_price": grid.max_price,
-        "step": grid.step,
-    }
+    return asdict(grid)
 
 
 def grid_from_dict(d: dict) -> PriceGrid:

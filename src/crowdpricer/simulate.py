@@ -34,7 +34,7 @@ from .market import (
     AcceptanceModel,
     ArrivalProfile,
     TabulatedAcceptance,
-    _require_int,
+    _check_fields,
     poisson_tables,
 )
 
@@ -49,7 +49,7 @@ class FixedPrice:
     price: int
 
     def __post_init__(self) -> None:
-        _require_int("price", self.price)
+        _check_fields(self, price=int)
         if self.price < 0:
             raise ValueError("price must be >= 0")
 
@@ -61,8 +61,7 @@ class SimulationConfig:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        _require_int("trials", self.trials)
-        _require_int("seed", self.seed)
+        _check_fields(self, trials=int, seed=int, parallel=bool)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (0 <= self.seed < 2**63):
@@ -406,19 +405,11 @@ def simulate_choice_model(
 # Report documents.
 
 
-def config_to_dict(config: SimulationConfig) -> dict:
-    return {
-        "trials": int(config.trials),
-        "seed": int(config.seed),
-        "parallel": config.parallel,
-    }
-
-
 def report_to_dict(report: SimulationReport, include_per_trial: bool = False) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "strategy_descriptor": report.strategy_descriptor,
-        "config": config_to_dict(report.config),
+        "config": asdict(report.config),
         "aggregates": asdict(report.aggregates()),
     }
     if include_per_trial:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
-from .market import AcceptanceModel, PriceGrid, _require_int, _TIE_REL
+from .market import AcceptanceModel, PriceGrid, _check_fields, _TIE_REL
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class FixedRateMarket:
     workers_per_interval: float
 
     def __post_init__(self) -> None:
+        _check_fields(self, workers_per_interval=float)
         if not (self.workers_per_interval > 0 and math.isfinite(self.workers_per_interval)):
             raise ValueError("workers_per_interval must be positive and finite")
 
@@ -46,6 +47,7 @@ class ArrivalBasedMarket:
     mean_rate_per_hour: float
 
     def __post_init__(self) -> None:
+        _check_fields(self, mean_rate_per_hour=float)
         if not (self.mean_rate_per_hour > 0 and math.isfinite(self.mean_rate_per_hour)):
             raise ValueError("mean_rate_per_hour must be positive and finite")
 
@@ -59,7 +61,7 @@ class TradeoffProblem:
     market: FixedRateMarket | ArrivalBasedMarket
 
     def __post_init__(self) -> None:
-        _require_int("n_tasks", self.n_tasks)
+        _check_fields(self, n_tasks=int, alpha=float)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.alpha < 0 or not math.isfinite(self.alpha):

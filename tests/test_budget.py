@@ -226,6 +226,10 @@ class TestAllocationValidation:
             with pytest.raises(ValueError, match="must be an integer"):
                 BudgetProblem(n_tasks=n_tasks, budget=budget, model=model,
                               grid=PriceGrid(1, 5), mean_rate=50.0)
+        for bad in ("50", True):
+            with pytest.raises(ValueError, match="mean_rate must be a number"):
+                BudgetProblem(n_tasks=2, budget=10, model=model,
+                              grid=PriceGrid(1, 5), mean_rate=bad)
 
     def test_latency_fields_populated(self):
         prob = BudgetProblem(

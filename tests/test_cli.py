@@ -617,6 +617,30 @@ def summary_lines(doc):
     return lines
 
 
+class TestCsvInput:
+    """Every command that reads a CSV rejects text that is not UTF-8 with
+    exit 3 and one error line naming the file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-deadline", *("latin1.csv" if a == "arr.csv" else a for a in PROB_FLAGS)],
+        ["solve-budget", "--tasks", "8", "--budget", "90", "--acceptance-table", "latin1.csv",
+         "--max-price", "20"],
+        ["tradeoff", "--tasks", "5", "--alpha", "0", "--variant", "arrival", "--rate", "30",
+         "--acceptance-table", "latin1.csv", "--max-price", "20"],
+        ["fit", "arrival", "--csv", "latin1.csv"],
+        ["fit", "acceptance", "--csv", "latin1.csv", "--task-seconds", "120",
+         "--market-total", "6000"],
+    ], ids=["solve-deadline", "solve-budget", "tradeoff", "fit-arrival", "fit-acceptance"])
+    def test_non_utf8_file_exits_3(self, ws, monkeypatch, capsys, argv):
+        monkeypatch.chdir(ws)
+        (ws / "latin1.csv").write_bytes(b"t_seconds,count\n0,6\n1200,6\xff\n")
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: latin1.csv: not valid UTF-8: 'utf-8' codec can't decode")
+
+
 class TestPipeline:
     """Every command runs through one pipeline.  With --out, stdout is the
     summary, each line a document value in its format; without it, stdout
@@ -924,17 +948,33 @@ class TestPolicyInput:
     def test_malformed_matrix(self, ws, monkeypatch, capsys, edit, reason):
         self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
 
+    LOGISTIC = {"type": "logistic", "scale_s": 15.0, "bias_b": -0.39, "market_mass_m": 2000.0}
+
     @pytest.mark.parametrize("path, value, reason", [
         (["n_tasks"], 12.9, "n_tasks must be an integer, got 12.9"),
         (["interval_seconds"], 1200.7, "interval_seconds must be an integer, got 1200.7"),
         (["grid", "max_price"], 20.5, "max_price must be an integer, got 20.5"),
         (["profile", "periodic"], "no", "periodic must be a bool, got 'no'"),
-    ], ids=["n_tasks", "interval_seconds", "max_price", "periodic"])
+        (["model"], {**LOGISTIC, "scale_s": "15"}, "scale_s must be a number, got '15'"),
+        (["model"], {**LOGISTIC, "bias_b": True}, "bias_b must be a number, got True"),
+        (["penalty"], True, "penalty must be a number, got True"),
+        (["penalty"], None, "penalty must be a number, got None"),
+        (["profile", "rates"], ["6", True], "rates must be a number, got '6'"),
+        (["model", "entries"], [], "bad acceptance model document"),
+    ], ids=["n_tasks", "interval_seconds", "max_price", "periodic", "scale_s", "bias_b",
+            "penalty", "null-penalty", "rates", "entries"])
     def test_problem_value_of_the_wrong_type(self, ws, monkeypatch, capsys, path, value,
                                              reason):
         def edit(doc):
             functools.reduce(dict.get, path[:-1], doc["problem"])[path[-1]] = value
         self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
+
+    def test_repeated_tabulated_price(self, ws, monkeypatch, capsys):
+        # "01" and "1" would name one price; only the key model_to_dict writes is read
+        def edit(doc):
+            doc["problem"]["model"]["entries"]["01"] = 0.35
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit),
+                             "tabulated price '01' must be written '1'")
 
     @pytest.mark.parametrize("text, reason", [
         ("[1, 2]", "pol_bad.json: expected a JSON object at the top level"),

@@ -515,6 +515,28 @@ class TestSerialization:
         assert back.penalty == prob.penalty
         assert back.existence_alpha == prob.existence_alpha
 
+    def test_equal_problems_share_one_digest(self):
+        # a constructor keeps the plain float, so 300 and 300.0 are one problem
+        whole, real = small_problem(penalty=300), small_problem(penalty=300.0)
+        assert whole == real
+        assert problem_digest(whole) == problem_digest(real)
+        assert type(whole.penalty) is float
+
+    def test_round_trip_of_a_whole_penalty_keeps_the_digest(self):
+        prob = small_problem(penalty=300)
+        policy = solve_efficient(prob)
+        _, policy2 = policy_from_dict(policy_to_dict(prob, policy))
+        assert problem_digest(problem_from_dict(problem_to_dict(prob))) == problem_digest(prob)
+        assert policy2.problem_digest == policy.problem_digest
+
+    def test_numpy_scalars_become_python_values(self):
+        prob = small_problem(n_tasks=np.int64(10), penalty=np.float32(300),
+                             existence_alpha=np.float64(0.5))
+        assert type(prob.n_tasks) is int and type(prob.penalty) is float
+        assert type(prob.existence_alpha) is float
+        plain = small_problem(n_tasks=10, penalty=300.0, existence_alpha=0.5)
+        assert solve_efficient(prob).problem_digest == problem_digest(plain)
+
     def test_digest_sensitive_to_parameters(self):
         a = problem_digest(small_problem())
         b = problem_digest(small_problem(penalty=41.0))

@@ -227,6 +227,12 @@ class TestLogisticAcceptance:
             LogisticAcceptance(scale_s=0.0, bias_b=0.0, market_mass_m=1.0)
         with pytest.raises(ValueError):
             LogisticAcceptance(scale_s=1.0, bias_b=0.0, market_mass_m=-2.0)
+        for bad in ("15", True, None, 10**400):
+            with pytest.raises(ValueError, match="scale_s"):
+                LogisticAcceptance(scale_s=bad, bias_b=0.0, market_mass_m=1.0)
+        model = LogisticAcceptance(scale_s=15, bias_b=np.float32(-0.5), market_mass_m=2000)
+        assert model == LogisticAcceptance(15.0, -0.5, 2000.0)
+        assert {type(v) for v in vars(model).values()} == {float}
 
 
 class TestTabulatedAcceptance:
@@ -253,6 +259,16 @@ class TestTabulatedAcceptance:
     def test_plateau_allowed(self):
         model = TabulatedAcceptance({0: 0.3, 1: 0.3, 2: 0.3})
         assert model.probability(2) == 0.3
+
+    def test_prices_are_integers(self):
+        for bad in (1.7, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="price must be an integer"):
+                TabulatedAcceptance({0: 0.1, bad: 0.5})
+        with pytest.raises(ValueError, match="probability for price 1 must be a number"):
+            TabulatedAcceptance({0: 0.1, 1: "0.5"})
+        model = TabulatedAcceptance({np.int64(0): np.float32(0.5), 1: 1})
+        assert [type(c) for c in model.entries] == [int, int]
+        assert [type(p) for p in model.entries.values()] == [float, float]
 
 
 class TestPriceGrid:
@@ -376,6 +392,12 @@ class TestArrivalProfile:
             with pytest.raises(ValueError, match="periodic must be a bool"):
                 ArrivalProfile(bucket_seconds=60, rates=(1.0,), periodic=bad)
         assert ArrivalProfile(60, (1.0,), periodic=np.bool_(True)).periodic is True
+        for bad in (("6", 1.0), (2.0, True)):
+            with pytest.raises(ValueError, match="rates must be a number"):
+                ArrivalProfile(bucket_seconds=60, rates=bad)
+        profile = ArrivalProfile(np.int64(60), np.array([1.5, 2.0], dtype=np.float32))
+        assert type(profile.bucket_seconds) is int
+        assert profile.rates == (1.5, 2.0) and type(profile.rates[0]) is float
 
 
 class TestSerialization:

@@ -556,4 +556,12 @@ class TestReportOutput:
             with pytest.raises(ValueError):
                 FixedPrice(price)
         assert SimulationConfig(trials=np.int64(10), seed=np.uint32(1)).trials == 10
+        for parallel in ("yes", 1, None):
+            with pytest.raises(ValueError, match="parallel must be a bool"):
+                SimulationConfig(trials=10, seed=1, parallel=parallel)
+        # the report writes the config's fields, which are plain Python values
+        config = SimulationConfig(trials=np.int64(10), seed=np.uint32(1), parallel=np.bool_(True))
+        rep = simulate_deadline(toy_problem(), FixedPrice(np.int64(3)), config)
+        assert json.dumps(report_to_dict(rep)["config"]) == (
+            '{"trials": 10, "seed": 1, "parallel": true}')
         assert FixedPrice(np.int64(2)).price == 2

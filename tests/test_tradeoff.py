@@ -147,6 +147,14 @@ class TestValidation:
             ArrivalBasedMarket(0.0)
         with pytest.raises(ValueError):
             FixedRateMarket(-2.0)
+        for bad in ("1", True, None):
+            with pytest.raises(ValueError, match="alpha must be a number"):
+                TradeoffProblem(n_tasks=2, alpha=bad, model=model,
+                                grid=PriceGrid(0, 1), market=ArrivalBasedMarket(10.0))
+            with pytest.raises(ValueError, match="mean_rate_per_hour must be a number"):
+                ArrivalBasedMarket(bad)
+            with pytest.raises(ValueError, match="workers_per_interval must be a number"):
+                FixedRateMarket(bad)
 
     def test_solution_arrays_are_read_only(self):
         sol = solve_tradeoff(arrival_problem(alpha=4.0))
