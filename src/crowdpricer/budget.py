@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DataError, DomainError, InfeasibleError
-from .market import AcceptanceModel, PriceGrid, _check_fields, _require_int
+from .market import AcceptanceModel, PriceGrid, _check_fields, _require_coverage, _require_int
 
 # below this acceptance probability a price is treated as unusable: the
 # expected arrivals 1/p stops being meaningful at any realistic scale
@@ -43,6 +43,7 @@ class BudgetProblem:
             raise ValueError("budget must be >= 0")
         if not (self.mean_rate > 0 and math.isfinite(self.mean_rate)):
             raise ValueError("mean_rate must be positive and finite")
+        _require_coverage(self.model, self.grid)
         if self.budget < self.n_tasks * self.grid.min_price:
             raise InfeasibleError(
                 f"budget below minimum: {self.budget} < "

@@ -110,15 +110,26 @@ def _read_json(path: str, digests: dict[str, str]) -> dict:
     """The JSON object in `path`, decoded as `json.load` decodes it except
     that each top-level member that is an array of equal-length lists of
     numbers comes back as a 2-D numpy array (see `jsonstream`).  The file's
-    sha256 goes into `digests`."""
+    sha256 goes into `digests`.  An invalid text is read again, whole, so
+    that `json.loads` says what is wrong with it and where."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            doc = JsonStream(path, fh, digest).document()
+            try:
+                doc = JsonStream(fh, digest).document()
+            except ValueError:  # a UnicodeDecodeError too, placed in the whole text
+                if fh.seekable():
+                    fh.seek(0)
+                    json.loads(fh.read().decode())
+                raise DataError(f"{path}: not valid JSON") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object at the top level")
     digests[path] = digest.hexdigest()
     return doc
 

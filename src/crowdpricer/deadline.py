@@ -43,8 +43,9 @@ from .market import (
     AcceptanceModel,
     ArrivalProfile,
     PriceGrid,
-    TabulatedAcceptance,
     _check_fields,
+    _require_coverage,
+    _require_int,
     _require_real,
     _TIE_REL,
     _transition_tables,
@@ -103,13 +104,7 @@ class DeadlineProblem:
             raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
         if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
             raise ValueError("existence_alpha must be finite and >= 0")
-        if isinstance(self.model, TabulatedAcceptance):
-            missing = [c for c in self.grid.prices() if c not in self.model.entries]
-            if missing:
-                raise ValueError(
-                    f"tabulated model has no probability for {len(missing)} grid "
-                    f"price(s), the first being {missing[0]}"
-                )
+        _require_coverage(self.model, self.grid)
         if not (self.penalty >= 0 and np.isfinite(self.penalty)):
             raise ValueError("penalty must be finite and >= 0")
         if 0 < self.penalty < self.grid.max_price:
@@ -407,18 +402,21 @@ def problem_from_dict(d: dict) -> DeadlineProblem:
     they are, so a fractional count, a non-bool flag or a string number is
     rejected; so is a null penalty, which the constructor reads as its default."""
     try:
-        return DeadlineProblem(
-            n_tasks=d["n_tasks"],
-            n_intervals=d["n_intervals"],
-            interval_seconds=d["interval_seconds"],
-            start_offset_seconds=d.get("start_offset_seconds", 0),
-            penalty=_require_real("penalty", d["penalty"]),
-            existence_alpha=d.get("existence_alpha", 0.0),
-            epsilon=d.get("epsilon", 1e-9),
-            profile=profile_from_dict(d["profile"]),
-            model=model_from_dict(d["model"]),
-            grid=grid_from_dict(d["grid"]),
-        )
+        # a low penalty was warned about, if at all, when the document was solved
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return DeadlineProblem(
+                n_tasks=d["n_tasks"],
+                n_intervals=d["n_intervals"],
+                interval_seconds=d["interval_seconds"],
+                start_offset_seconds=d.get("start_offset_seconds", 0),
+                penalty=_require_real("penalty", d["penalty"]),
+                existence_alpha=d.get("existence_alpha", 0.0),
+                epsilon=d.get("epsilon", 1e-9),
+                profile=profile_from_dict(d["profile"]),
+                model=model_from_dict(d["model"]),
+                grid=grid_from_dict(d["grid"]),
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad deadline problem document: {exc}") from exc
 
@@ -443,7 +441,7 @@ def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
     policy's dtype is used as it is, not copied.  Every price must lie on
     the problem's grid and every opt entry must be finite."""
     try:
-        if int(d["schema_version"]) != SCHEMA_VERSION:
+        if _require_int("schema_version", d["schema_version"]) != SCHEMA_VERSION:
             raise DataError(f"unsupported schema_version {d['schema_version']}")
         problem = problem_from_dict(d["problem"])
         price, opt = np.asarray(d["price"]), np.asarray(d["opt"])

@@ -83,7 +83,9 @@ def read_csv_rows(path: str, columns):
                     )
                 values = []
                 for (name, kind), text in zip(columns, row):
-                    try:
+                    try:  # int() and float() would also read '1_0' and non-ASCII digits
+                        if kind is not str and (not text.isascii() or "_" in text):
+                            raise ValueError
                         values.append(kind(text))
                     except ValueError:
                         what = "an integer" if kind is int else "a number"

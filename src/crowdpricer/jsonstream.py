@@ -1,12 +1,14 @@
-"""A JSON object read as a stream of fixed-size chunks.
+"""A JSON document read as a stream of fixed-size chunks.
 
-The members of the top-level object are decoded one at a time with
+The members of a top-level object are decoded one at a time with
 `json.JSONDecoder.raw_decode`, and a member that is an array one item at a
 time, so that a policy's `price` and `opt` matrices become numpy arrays row
-by row instead of one Python object per entry.  Values, accepted texts and
-error messages are those of `json.load` on the whole text.  Beyond the
-decoded values, reading holds one chunk and the text of one array item or
-of one member that is not an array.
+by row instead of one Python object per entry.  Values and accepted texts
+are those of `json.load` on the whole text.  A text that is not JSON raises
+a `ValueError` that places nothing; the caller reads the text again, whole,
+so that `json.loads` reports the error.  Beyond the decoded values, reading
+holds one chunk and the text of one array item or of one member that is
+not an array.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import codecs
 import json
 
 import numpy as np
-
-from .errors import DataError
 
 READ_CHUNK = 1 << 16  # bytes per read of a JSON document
 _DECODE = json.JSONDecoder().raw_decode
@@ -34,36 +34,19 @@ def _numeric_row(value):
 class JsonStream:
     """A JSON file read in `READ_CHUNK`-byte chunks, each also fed to
     `digest`.  `buf` holds the text from the value being decoded on; text
-    before `pos` is decoded and is dropped at the next read.  Errors are
-    placed in the file as `json.JSONDecodeError` places them in a whole
-    text, with its messages."""
+    before `pos` is decoded and is dropped at the next read."""
 
-    def __init__(self, path: str, fh, digest) -> None:
-        self.path, self.fh, self.digest = path, fh, digest
+    def __init__(self, fh, digest) -> None:
+        self.fh, self.digest = fh, digest
         self.utf8 = codecs.getincrementaldecoder("utf-8")()
         self.buf, self.pos, self.eof = "", 0, False
-        # characters dropped from the front of buf, the newlines among them,
-        # and the offset just past the last of those newlines
-        self.dropped, self.lines, self.line_start = 0, 0, 0
 
     def fill(self) -> None:
         chunk = self.fh.read(READ_CHUNK)
         self.digest.update(chunk)
         self.eof = not chunk
-        nl = self.buf.rfind("\n", 0, self.pos)
-        if nl >= 0:
-            self.lines += self.buf.count("\n", 0, self.pos)
-            self.line_start = self.dropped + nl + 1
-        self.dropped += self.pos
         self.buf = self.buf[self.pos:] + self.utf8.decode(chunk, final=self.eof)
         self.pos = 0
-
-    def error(self, msg: str, pos: int) -> DataError:
-        nl = self.buf.rfind("\n", 0, pos)
-        line = self.lines + self.buf.count("\n", 0, pos) + 1
-        column = pos - nl if nl >= 0 else self.dropped + pos - self.line_start + 1
-        return DataError(f"{self.path}: not valid JSON: {msg}: line {line} "
-                         f"column {column} (char {self.dropped + pos})")
 
     def peek(self) -> str:
         """Skip whitespace; the next character, or '' at the end of the text."""
@@ -73,9 +56,9 @@ class JsonStream:
                 return self.buf[self.pos:self.pos + 1]
             self.fill()
 
-    def expect(self, char: str, msg: str) -> None:
+    def expect(self, char: str) -> None:
         if self.peek() != char:
-            raise self.error(msg, self.pos)
+            raise ValueError(f"expected {char!r}")
 
     def value(self):
         """Decode the next value.  A decode that fails before the end of the
@@ -86,9 +69,9 @@ class JsonStream:
         while True:
             try:
                 value, end = _DECODE(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
+            except json.JSONDecodeError:
                 if self.eof:
-                    raise self.error(exc.msg, exc.pos) from None
+                    raise
             else:
                 if end + 2 < len(self.buf) or self.eof:
                     self.pos = end
@@ -103,7 +86,7 @@ class JsonStream:
                 read_item()
                 if self.peek() == close:
                     break
-                self.expect(",", "Expecting ',' delimiter")
+                self.expect(",")
                 self.pos += 1
         self.pos += 1
 
@@ -111,9 +94,9 @@ class JsonStream:
         """Decode one member of the top-level object into doc.  An array is
         decoded one item at a time: a list of numbers becomes a numpy row as
         soon as it is read, and rows of one length are stacked at the end."""
-        self.expect('"', "Expecting property name enclosed in double quotes")
+        self.expect('"')
         key = self.value()
-        self.expect(":", "Expecting ':' delimiter")
+        self.expect(":")
         self.pos += 1
         if self.peek() != "[":
             doc[key] = self.value()
@@ -125,15 +108,14 @@ class JsonStream:
             rows = np.stack(rows)
         doc[key] = rows
 
-    def document(self) -> dict:
-        """The top-level object, which must be the whole text."""
-        if self.peek() != "{":
-            if self.peek() == "\ufeff" and self.dropped + self.pos == 0:
-                raise self.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-            self.value()  # raises if the text is not JSON at all
-            raise DataError(f"{self.path}: expected a JSON object at the top level")
-        doc = {}
-        self.items("}", lambda: self.member(doc))
+    def document(self):
+        """The top-level value, which must be the whole text; an object is
+        read member by member."""
+        if self.peek() == "{":
+            doc = {}
+            self.items("}", lambda: self.member(doc))
+        else:
+            doc = self.value()
         if self.peek():
-            raise self.error("Extra data", self.pos)
+            raise ValueError("extra data")
         return doc

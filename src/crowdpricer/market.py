@@ -218,7 +218,7 @@ class TabulatedAcceptance(AcceptanceModel):
 
     def probability(self, price: int) -> float:
         try:
-            return self.entries[int(price)]
+            return self.entries[price]  # 2.0 finds price 2, 2.7 finds none
         except KeyError:
             raise DataError(f"price not in model: {price}") from None
 
@@ -247,6 +247,17 @@ class PriceGrid:
 
     def __len__(self) -> int:
         return (self.max_price - self.min_price) // self.step + 1
+
+
+def _require_coverage(model: AcceptanceModel, grid: PriceGrid) -> None:
+    """Raise ValueError when a tabulated model misses a grid price."""
+    if isinstance(model, TabulatedAcceptance):
+        missing = [c for c in grid.prices() if c not in model.entries]
+        if missing:
+            raise ValueError(
+                f"tabulated model has no probability for {len(missing)} grid "
+                f"price(s), the first being {missing[0]}"
+            )
 
 
 # relative slack when deciding that two expected costs tie; every solver

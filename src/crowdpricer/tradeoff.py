@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
-from .market import AcceptanceModel, PriceGrid, _check_fields, _TIE_REL
+from .market import AcceptanceModel, PriceGrid, _check_fields, _require_coverage, _TIE_REL
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ class TradeoffProblem:
             raise ValueError("n_tasks must be >= 1")
         if self.alpha < 0 or not math.isfinite(self.alpha):
             raise ValueError("alpha must be >= 0 and finite")
+        _require_coverage(self.model, self.grid)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,9 @@ class TestAllocationValidation:
             with pytest.raises(ValueError, match="mean_rate must be a number"):
                 BudgetProblem(n_tasks=2, budget=10, model=model,
                               grid=PriceGrid(1, 5), mean_rate=bad)
+        with pytest.raises(ValueError, match="no probability for 1 grid price.*being 2"):
+            BudgetProblem(n_tasks=2, budget=10, grid=PriceGrid(0, 3), mean_rate=50.0,
+                          model=TabulatedAcceptance({0: 0.1, 1: 0.2, 3: 0.4}))
 
     def test_latency_fields_populated(self):
         prob = BudgetProblem(

@@ -4,8 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -474,6 +476,22 @@ class TestFlagDomains:
         assert not (ws / "domain.json").exists()
 
 
+class TestCoverage:
+    """A tabulated acceptance model must give every grid price a probability."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-budget", "--tasks", "2", "--budget", "20", "--mean-rate", "30"],
+        ["tradeoff", "--tasks", "2", "--alpha", "1", "--variant", "arrival", "--rate", "30"],
+    ], ids=["solve-budget", "tradeoff"])
+    def test_table_missing_a_grid_price_exits_3(self, ws, monkeypatch, capsys, argv):
+        (ws / "gap.csv").write_text("price_cents,probability\n0,0.1\n1,0.2\n3,0.4\n")
+        monkeypatch.chdir(ws)
+        assert cli.main([*argv, "--acceptance-table", "gap.csv", "--max-price", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "error: bad problem: tabulated model has no probability for 1 grid "
+            "price(s), the first being 2\n")
+
+
 class TestTradeoff:
     def test_zero_alpha_picks_cheapest_price(self, ws):
         doc = ensure(ws, "to_zero.json")
@@ -869,7 +887,7 @@ class TestReader:
         '\ufeff{"a": 1}', "", "  \n ", '\n\n  {"a":\n [[1, 2],\n [3, tru]]}',
         '{"a": "\\ud834\\udd1e é", "a": [[NaN, -Infinity], [1e3, -0.0]]}',
         '{"a": [], "b": [[]], "c": [[], []], "d": [1, [2]], "e": [[true]]}',
-        '{"a": 1.5e+300, "b": [2.5, -1E-7, 0.25], "c": -12}',
+        '{"a": 1.5e+300, "b": [2.5, -1E-7, 0.25], "c": -12}', '{"a": [[1, [2]]]}',
     ])
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
     def test_structure_and_errors_match_json_loads(self, path, text, chunk):
@@ -879,6 +897,32 @@ class TestReader:
         path.write_text("[1, 2]")
         with pytest.raises(crowdpricer.DataError, match="expected a JSON object"):
             cli._read_json(str(path), {})
+
+    @staticmethod
+    def write_later(fifo, text):
+        """A started thread that writes text to the named pipe fifo once a
+        reader opens it."""
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        return writer
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_an_invalid_document_in_a_pipe(self, tmp_path, monkeypatch, capsys):
+        # a pipe cannot be read again, so json.loads cannot say where the error is
+        fifo = tmp_path / "doc.fifo"
+        os.mkfifo(fifo)
+        writer = self.write_later(fifo, '{"a": 1,}')
+        with pytest.raises(crowdpricer.DataError) as info:
+            cli._read_json(str(fifo), {})
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(info.value) == f"{fifo}: not valid JSON"
+        monkeypatch.chdir(tmp_path)
+        writer = self.write_later(fifo, '{"a": 1,}')
+        assert cli.main(["simulate", "--trials", "10", "--policy", "doc.fifo"]) == 3
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().err == "error: doc.fifo: not valid JSON\n"
 
     def test_reading_a_policy_needs_no_object_per_entry(self, policy_doc, tmp_path):
         # json.load peaks at 7.5 MB on this document
@@ -968,6 +1012,22 @@ class TestPolicyInput:
         def edit(doc):
             functools.reduce(dict.get, path[:-1], doc["problem"])[path[-1]] = value
         self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
+
+    @pytest.mark.parametrize("value", ["1", True, 1.9], ids=["string", "bool", "fraction"])
+    def test_schema_version_of_the_wrong_type(self, ws, monkeypatch, capsys, value):
+        def edit(doc):
+            doc["schema_version"] = value
+        self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit),
+                             f"schema_version must be an integer, got {value!r}")
+
+    def test_calibrated_penalty_below_top_price_reads_without_a_warning(self, ws):
+        r = run_cli(ws, "solve-deadline", *PROB_FLAGS, "--bound", "4", "--out", "pol_cal4.json")
+        assert r.returncode == 0, r.stderr
+        assert load(ws, "pol_cal4.json")["problem"]["penalty"] < 20
+        for argv in self.COMMANDS:
+            r = run_cli(ws, *argv, "pol_cal4.json", "--out", "read_cal4.json")
+            assert r.returncode == 0, r.stderr
+            assert r.stderr == ""
 
     def test_repeated_tabulated_price(self, ws, monkeypatch, capsys):
         # "01" and "1" would name one price; only the key model_to_dict writes is read

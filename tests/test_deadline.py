@@ -1,5 +1,6 @@
 """Deadline solver: transitions, backward induction, calibration, evaluation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -475,6 +476,28 @@ class TestCalibrate:
                 assert achieved <= bound
                 pens.append(pen)
         assert pens == sorted(pens)
+
+    def test_stops_where_the_interval_collapses_onto_a_jump(self):
+        # the achieved value jumps from above 0.5 to 0.4984 as the penalty
+        # grows, so no penalty lands within the 1e-3 tolerance below the bound
+        prob = DeadlineProblem(
+            n_tasks=20, n_intervals=8, interval_seconds=600,
+            profile=ArrivalProfile(600, (5.0,) * 8),
+            model=TabulatedAcceptance({c: 0.04 + 0.06 * c for c in range(13)}),
+            grid=PriceGrid(0, 12), epsilon=0.0)
+        probes = []
+
+        def solver(problem):
+            probes.append(problem.penalty)
+            return solve_efficient(problem)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            pen, achieved = calibrate_penalty(prob, bound=0.5, tolerance=1e-3, solver=solver)
+            below = dataclasses.replace(prob, penalty=pen * (1 - 1e-8))
+        assert achieved < 0.5 * (1 - 1e-3)
+        assert len(probes) < 64  # stopped before the bisection's 64 steps ran out
+        assert evaluate_policy_exact(below, solve_efficient(below)).expected_remaining > 0.5
 
     def test_unreachable_bound_is_infeasible(self):
         prob = small_problem(

@@ -66,6 +66,9 @@ class TestLoadArrivalCsv:
             ("t_seconds,count\n0,1\n600,2\n1300,3\n", "row 4"),
             # the blank line is row 3, so the bad spacing is on row 5
             ("t_seconds,count\n0,5\n\n600,6\n1300,7\n", "row 5: spacing 700"),
+            # int() and float() read these, but a CSV number is plain ASCII decimal
+            ("t_seconds,count\n0,1\n1_200,2\n", "row 3: t_seconds must be an integer"),
+            ("t_seconds,count\n0,1\n600,\u0667\n", "row 3: count must be a number"),
         ]
         for text, needle in cases:
             p = write_csv(tmp_path / "bad.csv", text)

@@ -245,6 +245,8 @@ class TestTabulatedAcceptance:
         model = TabulatedAcceptance({0: 0.1, 1: 0.25})
         with pytest.raises(DataError):
             model.probability(3)
+        with pytest.raises(DataError, match="price not in model: 0.5"):
+            model.probability(0.5)
 
     def test_must_be_monotone(self):
         with pytest.raises(ValueError):

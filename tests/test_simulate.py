@@ -448,6 +448,26 @@ class TestPriceFloor:
         total = 120.0 + 100.0 + 110.0
         assert prob.model.probability(c0) == pytest.approx(6.0 / total, abs=1e-9)
 
+    def test_logistic_floor_above_the_grid(self):
+        # p(max_price) is below the target, so the search doubles past the grid
+        prob = toy_problem(
+            n_tasks=6,
+            model=LogisticAcceptance(scale_s=15.0, bias_b=-0.39, market_mass_m=2000.0),
+            profile=ArrivalProfile(600, (30.0, 30.0, 30.0)),
+            grid=PriceGrid(0, 5), penalty=None)
+        c0 = price_floor_c0(prob)
+        assert c0 > 4 * prob.grid.max_price
+        assert prob.model.probability(c0) == pytest.approx(6.0 / 90.0, abs=1e-9)
+
+    def test_logistic_floor_past_1e12_is_marked_infeasible(self):
+        # p(1e12) is still about 1/2001, below the target of 1/15
+        prob = toy_problem(
+            n_tasks=6,
+            model=LogisticAcceptance(scale_s=1e12, bias_b=0.0, market_mass_m=2000.0),
+            profile=ArrivalProfile(600, (30.0, 30.0, 30.0)),
+            grid=PriceGrid(0, 5), penalty=None)
+        assert price_floor_c0(prob) is None
+
     def test_oversubscribed_instance_is_marked_infeasible(self):
         prob = toy_problem(
             n_tasks=5, profile=ArrivalProfile(600, (1.0, 1.0, 1.0)))

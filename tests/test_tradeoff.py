@@ -155,6 +155,10 @@ class TestValidation:
                 ArrivalBasedMarket(bad)
             with pytest.raises(ValueError, match="workers_per_interval must be a number"):
                 FixedRateMarket(bad)
+        with pytest.raises(ValueError, match="no probability for 1 grid price.*being 2"):
+            TradeoffProblem(n_tasks=2, alpha=1.0, grid=PriceGrid(0, 3),
+                            model=TabulatedAcceptance({0: 0.1, 1: 0.2, 3: 0.4}),
+                            market=ArrivalBasedMarket(10.0))
 
     def test_solution_arrays_are_read_only(self):
         sol = solve_tradeoff(arrival_problem(alpha=4.0))
