@@ -95,15 +95,14 @@ _CORE_PROBLEM_FLAGS = (
 # Small IO helpers.
 
 
-def _digest_file(path: str, digests: dict[str, str]) -> None:
+def _read_csv(load, path: str, digests: dict[str, str], **kwargs):
+    """`load(path, **kwargs)`, one of the estimation CSV loaders, with the
+    sha256 of the bytes it parsed put into `digests`."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with _bad_input(f"cannot read {path}: ", OSError):
+        result = load(path, digest=digest, **kwargs)
     digests[path] = digest.hexdigest()
+    return result
 
 
 def _read_json(path: str, digests: dict[str, str]) -> dict:
@@ -151,6 +150,16 @@ def _bad_input(prefix: str, errors=ValueError):
         raise DataError(f"{prefix}{exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Re-raise an OSError from the block as a failure (exit 5) to write
+    `path`, the file the user named, whatever file the error names."""
+    try:
+        yield
+    except OSError as exc:
+        raise CrowdPricerError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _given(args: argparse.Namespace, flags) -> list[str]:
     """The flags among `flags` that the command line set, in order."""
     return [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
@@ -160,25 +169,27 @@ def _emit(doc: dict, out: str | None) -> None:
     """Write doc as indented JSON with sorted keys and a final newline,
     streamed from the encoder so the whole text is never built.  A file is
     written under a temporary name beside it and renamed into place, so an
-    encoding error leaves neither a partial document nor a clobbered one."""
+    encoding error leaves neither a partial document nor a clobbered one; a
+    file that cannot be written is named as `out`, not by the temporary name."""
     if out is None:
         json.dump(doc, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
         return
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(out)}.", suffix=".tmp", dir=os.path.dirname(out) or "."
-    )
-    try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _writing(out):
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(out)}.", suffix=".tmp", dir=os.path.dirname(out) or "."
+        )
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(doc, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+            umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +210,7 @@ def _parse_acceptance_triple(text: str) -> LogisticAcceptance:
 def _build_model(args: argparse.Namespace, digests: dict[str, str]):
     if args.acceptance is not None:
         return _parse_acceptance_triple(args.acceptance)
-    _digest_file(args.acceptance_table, digests)
-    return load_acceptance_table(args.acceptance_table)
+    return _read_csv(load_acceptance_table, args.acceptance_table, digests)
 
 
 def _build_grid(args: argparse.Namespace) -> PriceGrid:
@@ -211,8 +221,8 @@ def _build_grid(args: argparse.Namespace) -> PriceGrid:
 
 
 def _load_profile(args: argparse.Namespace, digests: dict[str, str]) -> ArrivalProfile:
-    _digest_file(args.arrival_csv, digests)
-    profile = load_arrival_csv(args.arrival_csv, cumulative_snapshot=args.cumulative)
+    profile = _read_csv(load_arrival_csv, args.arrival_csv, digests,
+                        cumulative_snapshot=args.cumulative)
     if args.periodic:
         profile = dataclasses.replace(profile, periodic=True)
     return profile
@@ -472,8 +482,8 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
 def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
     profiles = []
     for path in args.csv:
-        _digest_file(path, digests)
-        profiles.append(load_arrival_csv(path, cumulative_snapshot=args.cumulative))
+        profiles.append(_read_csv(load_arrival_csv, path, digests,
+                                  cumulative_snapshot=args.cumulative))
     if args.period_buckets is not None:
         profile = fit_periodic_profile(profiles, args.period_buckets)
     elif len(profiles) > 1:
@@ -494,8 +504,7 @@ def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
 
 
 def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
-    _digest_file(args.csv, digests)
-    observations = load_observations_csv(args.csv)
+    observations = _read_csv(load_observations_csv, args.csv, digests)
     fit = fit_wage_utility(observations, task_type=args.task_type)
     derived = derive_acceptance_model(
         fit,
@@ -885,7 +894,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit(doc, args.out)
         for write, obj, path in side_files:
             if path is not None:
-                write(obj, path)
+                with _writing(path):
+                    write(obj, path)
         # the human summary goes to stdout only when the document went to a file
         if args.out is not None:
             for line in summary:

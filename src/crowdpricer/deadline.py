@@ -231,7 +231,7 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
     opt[:, horizon] = [problem.terminal_cost(n) for n in range(n_max + 1)]
     rates = problem.interval_rates()
     for t in range(horizon - 1, -1, -1):
-        pmf, _, caps, spend = _transition_tables(rates[t] * acceptance, n_max, problem.epsilon)
+        pmf, tails, caps, spend = _transition_tables(rates[t] * acceptance, n_max, problem.epsilon)
         spend *= prices[:, None]
         opt_next = opt[:, t + 1]
         costs = slice_costs(pmf, caps, spend, opt_next)
@@ -244,6 +244,7 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
             start = max(0, lo - cap + 1)
             cont = np.convolve(opt_next[start:hi], pmf[j, :cap])[lo - start : hi - start]
             opt[lo:hi, t] = cont + spend[j, lo - 1 : hi - 1]
+        del pmf, tails, caps, spend, costs  # before the next slice's are built
     return DeadlinePolicy(price=price, opt=opt, problem_digest=problem_digest(problem))
 
 
@@ -308,6 +309,7 @@ def evaluate_policy_exact(
         new[0] = np.cumsum(np.r_[dist[0], dist[1:] * tails[rows, states]])[-1]
         cost = np.cumsum(np.r_[cost, dist[1:] * posted[rows] * spend[rows, states - 1]])[-1]
         dist = new
+        del pmf, tails, spend, head  # before the next slice's are built
     remaining = float(np.dot(np.arange(n_max + 1), dist))
     pr_any = float(np.sum(dist[1:]))
     return PolicyEvaluation(

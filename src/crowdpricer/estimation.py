@@ -23,6 +23,7 @@ workload that reproduces the conventional rounding) without changing p(c).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -54,16 +55,22 @@ class DerivedModel:
     derivation: dict
 
 
-def read_csv_rows(path: str, columns):
+def read_csv_rows(path: str, columns, digest=None):
     """Yield (row_no, values) for each data row of a CSV file whose header
     names `columns`, (name, int | float | str) pairs, numbering rows from 1
     at the header and skipping blank rows; each field is parsed by its
     column's type.  An empty file, text that is not UTF-8, another header,
     a row with another field count or a field that does not parse raises
-    DataError naming the file (and the row)."""
+    DataError naming the file (and the row).  The file is opened once and
+    read whole, so a pipe works too; its bytes also go to `digest`, a
+    hashlib object, when one is given."""
     header = [name for name, _ in columns]
+    with open(path, "rb") as raw:
+        data = raw.read()
+    if digest is not None:
+        digest.update(data)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None:
@@ -102,16 +109,17 @@ def read_csv_rows(path: str, columns):
 ARRIVAL_COLUMNS = (("t_seconds", int), ("count", float))
 
 
-def load_arrival_csv(path: str, cumulative_snapshot: bool = False) -> ArrivalProfile:
+def load_arrival_csv(path: str, cumulative_snapshot: bool = False, digest=None) -> ArrivalProfile:
     """Parse an arrival CSV into a non-periodic profile.
 
     With cumulative_snapshot=True, rows are remaining-task snapshots and each
     bucket's rate is the decrease between consecutive rows, clamped at 0
-    (increases mean new postings, not negative completions).
+    (increases mean new postings, not negative completions).  The file's
+    bytes go to `digest` as in `read_csv_rows`.
     """
     times: list[int] = []
     counts: list[float] = []
-    for row_no, (t, count) in read_csv_rows(path, ARRIVAL_COLUMNS):
+    for row_no, (t, count) in read_csv_rows(path, ARRIVAL_COLUMNS, digest):
         if t < 0:
             raise DataError(f"{path}: row {row_no}: t_seconds must be non-negative")
         if times and t <= times[-1]:
@@ -184,10 +192,10 @@ def fit_periodic_profile(
 ACCEPTANCE_COLUMNS = (("price_cents", int), ("probability", float))
 
 
-def load_acceptance_table(path: str) -> TabulatedAcceptance:
+def load_acceptance_table(path: str, digest=None) -> TabulatedAcceptance:
     """Tabulated acceptance model from a `price_cents,probability` CSV."""
     entries: dict[int, float] = {}
-    for row_no, (c, p) in read_csv_rows(path, ACCEPTANCE_COLUMNS):
+    for row_no, (c, p) in read_csv_rows(path, ACCEPTANCE_COLUMNS, digest):
         if c in entries:
             raise DataError(f"{path}: row {row_no}: duplicate price {c}")
         entries[c] = p
@@ -204,9 +212,9 @@ OBSERVATION_COLUMNS = (("wage_per_second", float), ("workload_per_hour", float),
                        ("task_type", str))
 
 
-def load_observations_csv(path: str) -> list[TaskGroupObservation]:
+def load_observations_csv(path: str, digest=None) -> list[TaskGroupObservation]:
     out = []
-    for row_no, (wage, workload, task_type) in read_csv_rows(path, OBSERVATION_COLUMNS):
+    for row_no, (wage, workload, task_type) in read_csv_rows(path, OBSERVATION_COLUMNS, digest):
         if not (math.isfinite(wage) and wage >= 0):
             raise DataError(
                 f"{path}: row {row_no}: wage_per_second must be finite and >= 0"

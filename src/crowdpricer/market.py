@@ -296,17 +296,22 @@ def poisson_support_end(lam: float, floor: float = 1e-18) -> int:
     return math.ceil(lam + math.sqrt(2.0 * lam * big_l) + big_l) + 1
 
 
+_TAIL_BLOCK = 1 << 14  # entries per block of poisson_tables' columns past n
+
+
 def poisson_tables(
     mus: np.ndarray, n: int, floor: float = 1e-18
 ) -> tuple[np.ndarray, np.ndarray]:
     """Poisson tables for a vector of means: the one place they are built.
 
     Returns (pmf, tails) with pmf[i, k] = Pr(Pois(mus[i]) = k) for k < n and
-    tails[i, k] = Pr(Pois(mus[i]) >= k) for k <= n.  The pmf is evaluated
-    in log space out to past n and past poisson_support_end(max(mus),
-    floor); the tails are its suffix sums, adding the small terms first, and
-    leave out only the mass beyond that end, below floor.  A zero mean gives
-    the point mass at 0.
+    tails[i, k] = Pr(Pois(mus[i]) >= k) for k <= n, arrays of n and n + 1
+    columns that own their memory.  The pmf is evaluated in log space out to
+    poisson_support_end(max(mus), floor); the tails are its suffix sums,
+    adding the small terms first, and leave out only the mass beyond that
+    end, below floor.  The columns past n are evaluated _TAIL_BLOCK entries
+    at a time, from the far end, and only their running sum is kept.  A zero
+    mean gives the point mass at 0.
     """
     mus = np.asarray(mus, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
@@ -315,14 +320,31 @@ def poisson_tables(
     live = mus > 0.0
     # log(1) stands in for log(0) on zero-mean rows, whose k = 0 entry comes
     # out as exp(0) = 1 and whose other entries are cleared below
-    pmf = np.arange(end) * np.log(np.where(live, mus, 1.0))[:, None]
-    pmf -= mus[:, None]
-    pmf[:, 1:] -= np.cumsum(np.log(np.arange(1, end)))  # lgamma(k + 1), k >= 1
-    np.exp(pmf, out=pmf)
-    pmf[~live, 1:] = 0.0
-    tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    log_mus = np.log(np.where(live, mus, 1.0))[:, None]
+    log_fact = np.zeros(end)  # lgamma(k + 1)
+    np.cumsum(np.log(np.arange(1, end)), out=log_fact[1:])
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        block = np.arange(lo, hi) * log_mus
+        block -= mus[:, None]
+        block -= log_fact[lo:hi]
+        np.exp(block, out=block)
+        block[~live, max(1 - lo, 0):] = 0.0
+        return block
+
+    suffix = np.zeros(len(mus))  # the mass from column hi on
+    width = max(1, _TAIL_BLOCK // max(len(mus), 1))
+    for hi in range(end, n, -width):
+        block = columns(max(n, hi - width), hi)
+        block[:, -1] += suffix  # the full-width cumsum's sum, as IEEE + commutes
+        suffix = np.cumsum(block[:, ::-1], axis=1)[:, -1]
+    pmf = columns(0, n)
+    tails = np.empty((len(mus), n + 1))
+    tails[:, :n] = pmf
+    tails[:, n] = suffix
+    np.cumsum(tails[:, ::-1], axis=1, out=tails[:, ::-1])
     tails[:, 0] = 1.0
-    return pmf[:, :n], tails[:, : n + 1]
+    return pmf, tails
 
 
 def poisson_pmf_vector(n: int, lam: float) -> np.ndarray:

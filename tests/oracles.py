@@ -44,6 +44,26 @@ def mp_logistic_probability(price, scale_s, bias_b, mass_m) -> mp.mpf:
         return u / (u + mp.mpf(mass_m))
 
 
+def full_width_poisson_tables(mus, n: int, floor: float = 1e-18):
+    """Poisson tables as one full-width array: every row evaluated out to
+    past n and past the support end of the largest mean, then cut to n pmf
+    and n + 1 tail columns.  The block-wise package version must match it
+    bit for bit."""
+    mus = np.asarray(mus, dtype=np.float64).reshape(-1)
+    big_l = -math.log(floor)
+    lam = float(mus.max(initial=0.0))
+    end = max(n + 1, math.ceil(lam + math.sqrt(2.0 * lam * big_l) + big_l) + 1)
+    live = mus > 0.0
+    pmf = np.arange(end) * np.log(np.where(live, mus, 1.0))[:, None]
+    pmf -= mus[:, None]
+    pmf[:, 1:] -= np.cumsum(np.log(np.arange(1, end)))
+    np.exp(pmf, out=pmf)
+    pmf[~live, 1:] = 0.0
+    tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    tails[:, 0] = 1.0
+    return pmf[:, :n], tails[:, : n + 1]
+
+
 # ---------------------------------------------------------------------------
 # Deadline problem: plain-Python backward induction (full support, no numpy)
 # and, for tiny instances, literal enumeration of every deterministic policy.

@@ -1,7 +1,10 @@
 """End-to-end command line checks, run through subprocess."""
 
+import contextlib
+import errno
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -659,6 +662,33 @@ class TestCsvInput:
         assert err.startswith("error: latin1.csv: not valid UTF-8: 'utf-8' codec can't decode")
 
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("argv", [
+        ["solve-deadline", *PROB_FLAGS],
+        ["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "3"],
+    ], ids=["arrival-csv", "fit-arrival"])
+    def test_a_pipe_reads_as_the_file_does(self, ws, monkeypatch, capsys, argv):
+        # a pipe can be read once: the digest comes from the bytes parsed
+        monkeypatch.chdir(ws)
+        assert cli.main(argv) == 0
+        want = json.loads(capsys.readouterr().out)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (ws / "arr.csv").read_bytes())
+            os.close(write_end)
+            pipe = f"/dev/fd/{read_end}"
+            assert cli.main([pipe if a == "arr.csv" else a for a in argv]) == 0
+        finally:
+            os.close(read_end)
+        got = json.loads(capsys.readouterr().out)
+        assert got["manifest"].pop("input_digests")[pipe] == \
+            want["manifest"].pop("input_digests")["arr.csv"]
+        params = got["manifest"]["resolved_parameters"]
+        key = "arrival_csv" if argv[0] == "solve-deadline" else "csv"
+        params[key] = want["manifest"]["resolved_parameters"][key]
+        assert got == want
+
+
 class TestPipeline:
     """Every command runs through one pipeline.  With --out, stdout is the
     summary, each line a document value in its format; without it, stdout
@@ -788,6 +818,18 @@ class TestWriter:
             cli._emit(doc, str(out))
         assert out.read_bytes() == b'{"old": true}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["pol.json"]
+
+    @pytest.mark.parametrize("out, code", [("missing/p.json", errno.ENOENT),
+                                           ("dir", errno.EISDIR)], ids=["missing-dir", "a-dir"])
+    def test_an_unwritable_out_is_named_as_given(self, ws, monkeypatch, capsys, tmp_path,
+                                                 out, code):
+        monkeypatch.chdir(ws)
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / out
+        assert cli.main(["solve-deadline", *PROB_FLAGS, "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(code)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]  # no temporary file is left
+        assert list((tmp_path / "dir").iterdir()) == []
 
 
 _NAN = object()
@@ -1043,3 +1085,220 @@ class TestPolicyInput:
     def test_malformed_document(self, ws, monkeypatch, capsys, text, reason):
         text = text or (ws / "pol.json").read_text() + "x"
         self.assert_rejected(ws, monkeypatch, capsys, text, reason)
+
+
+# ---------------------------------------------------------------------------
+# A derandomized fuzz of the command line.
+
+# flag values by kind: a few valid ones and malformed ones.  Sizes stay
+# small, because a large valid size is an expensive input, not a bad one.
+_FUZZ_VALUES = {
+    "size": ["0", "1", "3", "12", "-1", "2.5", "x", "", "1e3", "0x10"],
+    "int": ["0", "1", "600", "-5", "2.5", "x", "", "99999999999999999999", "9" * 400],
+    "real": ["0", "0.5", "1", "2", "-1", "5e-324", "1e308", "nan", "inf", "-inf", "x", ""],
+    "text": ["", "x", "1,2", "15,-0.39,2000", "nan,0,1", "1,2,3,4", "0,0,0", "inf,1,1"],
+}
+# CSV fields and text spliced into documents
+_FUZZ_TOKENS = ["0", "-1", "2.5", "1e400", "nan", "inf", "", "x", "1_0", "٣", " 5 ",
+                "0x10", '"', ",", "\n", "{", "]", "null", "true", "1e-400"]
+
+
+class TestFuzz:
+    """Malformed flags and documents given to cli.main in-process: every run
+    exits 0, 2, 3 or 4 with no traceback, and 3, 4 and 5 print one error
+    line.  Exit 5 is kept for the failures named in EXIT_5."""
+
+    EXIT_5 = {
+        "an output that cannot be written": "error: cannot write ",
+        "an exact budget DP past its work cap": "error: instance too large for exact solver: ",
+    }
+    FILES = {"arr": "arr.csv", "tab": "tab.csv", "obs": "obs.csv", "pol": "pol.json",
+             "alloc": "alloc.json"}
+    # (flag, valid value, kind); a flag named "?--flag" is given in a quarter
+    # of the runs only, and a None value is then drawn from its kind
+    PROBLEM = [("--tasks", "12", "size"), ("--deadline-hours", "2", "real"),
+               ("--intervals", "6", "size"), ("--arrival-csv", "arr", "file"),
+               ("--acceptance-table", "tab", "file"), ("--max-price", "20", "size"),
+               ("?--acceptance", "15,-0.39,2000", "text"), ("?--min-price", "1", "size"),
+               ("?--price-step", "2", "size"), ("?--epsilon", "0", "real"),
+               ("?--penalty", None, "real"), ("?--existence-alpha", "0.5", "real"),
+               ("?--start-offset", "600", "int"), ("?--periodic", None, "switch"),
+               ("?--cumulative", None, "switch")]
+    COMMANDS = {
+        "solve-deadline": [*PROBLEM, ("?--bound", "0.5", "real"),
+                           ("?--bound-tol", None, "real"), ("?--solver", "simple", "text")],
+        "simulate": [("--policy", "pol", "file"), ("--trials", "20", "size"),
+                     ("?--fixed-price", "5", "size"), ("?--alloc", "alloc", "file"),
+                     ("?--seed", None, "int"), ("?--per-trial", None, "switch"),
+                     ("?--csv", None, "out"), ("?--arrival-csv", "arr", "file"),
+                     ("?--tasks", "12", "size")],
+        "simulate --alloc": [("--alloc", "alloc", "file"), ("--arrival-csv", "arr", "file"),
+                             ("--trials", "20", "size"), ("?--periodic", None, "switch"),
+                             ("?--tasks", "12", "size")],
+        "baseline": [*PROBLEM, ("--confidence", "0.9", "real"),
+                     ("?--compare-policy", "pol", "file"), ("?--trials", "20", "size"),
+                     ("?--seed", None, "int")],
+        "solve-budget": [("--tasks", "8", "size"), ("--budget", "90", "int"),
+                         ("--acceptance-table", "tab", "file"), ("--max-price", "20", "size"),
+                         ("--min-price", "1", "size"), ("--mean-rate", "30", "real"),
+                         ("?--acceptance", None, "text"), ("?--exact", None, "switch")],
+        "tradeoff": [("--tasks", "5", "size"), ("--alpha", "1", "real"),
+                     ("--variant", "arrival", "text"), ("--rate", "30", "real"),
+                     ("--acceptance-table", "tab", "file"), ("--max-price", "20", "size"),
+                     ("--min-price", "1", "size")],
+        "fit arrival": [("--csv", "arr", "file"), ("?--csv", "arr", "file"),
+                        ("?--period-buckets", "3", "int"), ("?--periodic", None, "switch"),
+                        ("?--cumulative", None, "switch"), ("?--csv-out", None, "out")],
+        "fit acceptance": [("--csv", "obs", "file"), ("--task-seconds", "120", "real"),
+                           ("--market-total", "6000", "real"),
+                           ("?--mass-normalization", None, "real"),
+                           ("?--task-type", "writing", "text")],
+    }
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, ws):
+        ensure(ws, "alloc.json")
+        return ws
+
+    @staticmethod
+    def mutated(data, text: str) -> bytes:
+        """text with one edit: cut short, a token spliced in, a line
+        dropped, or a byte that is not UTF-8 spliced in."""
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["cut", "splice", "drop", "byte"]))
+        if edit == "cut":
+            return text[:at].encode()
+        if edit == "drop":
+            lines = text.splitlines(keepends=True)
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+            return "".join(lines).encode()
+        if edit == "byte":
+            return text[:at].encode() + b"\xff" + text[at:].encode()
+        token = data.draw(st.sampled_from(_FUZZ_TOKENS) | st.text(max_size=3))
+        cut = data.draw(st.integers(at, min(len(text), at + 4)))  # replace 0-4 chars
+        return (text[:at] + token + text[cut:]).encode()
+
+    @staticmethod
+    def edited_json(data, text: str) -> bytes:
+        """The JSON document with one member or entry replaced or deleted."""
+        doc = json.loads(text)
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            kids = node.items() if isinstance(node, dict) else (
+                enumerate(node) if isinstance(node, list) else ())
+            for key, kid in kids:
+                paths.append((*path, key))
+                stack.append(((*path, key), kid))
+        *parents, key = data.draw(st.sampled_from(sorted(paths, key=repr)))
+        node = doc
+        for step in parents:
+            node = node[step]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_values)
+        return json.dumps(doc).encode()
+
+    def value(self, data, ws, kind, valid, bad):
+        """A value for a flag of `kind`: `valid`, or when `bad` (or when
+        there is no valid value) one drawn from the kind's values; a file is
+        then a broken copy of `valid`'s document, a missing file, a directory
+        or an empty file."""
+        if kind == "out":
+            return str(ws / data.draw(st.sampled_from(["fz_side.csv", "missing/fz.csv", "."])))
+        if kind == "file":
+            if not bad:
+                return str(ws / self.FILES[valid])
+            how = data.draw(st.sampled_from(["edit", "edit", "json", "missing", "dir", "empty"]))
+            if how in ("missing", "dir", "empty"):
+                return {"missing": str(ws / "no_such_file"), "dir": str(ws),
+                        "empty": os.devnull}[how]
+            text = (ws / self.FILES[valid]).read_text()
+            if how == "json" and valid in ("pol", "alloc"):
+                body = self.edited_json(data, text)
+            else:
+                body = self.mutated(data, text)
+            path = ws / f"fz_{valid}{Path(self.FILES[valid]).suffix}"
+            path.write_bytes(body)
+            return str(path)
+        if bad or valid is None:
+            return data.draw(st.sampled_from(_FUZZ_VALUES[kind]))
+        return valid
+
+    def argv(self, data, ws, command, broken=None):
+        """`command` with its flags valid apart from up to two, each left
+        out or given a malformed value; or apart from the document of the
+        flag `broken` only."""
+        spec = self.COMMANDS[command]
+        if broken is None:
+            bad = set(data.draw(st.lists(st.integers(0, len(spec) - 1), max_size=2)))
+        else:
+            bad = {[flag.lstrip("?") for flag, _, _ in spec].index(broken)}
+        argv = [word for word in command.split() if not word.startswith("-")]
+        for i, (flag, valid, kind) in enumerate(spec):
+            optional = flag.startswith("?") and i not in bad
+            if optional and data.draw(st.sampled_from([True, True, True, False])):
+                continue
+            if i in bad and broken is None and data.draw(st.sampled_from([0, 1, 2])) == 0:
+                continue  # left out
+            argv.append(flag.lstrip("?"))
+            if kind != "switch":
+                argv.append(self.value(data, ws, kind, valid, i in bad))
+        out = data.draw(st.sampled_from([None, None, None, "fz_out.json", "fz_out.json",
+                                         "fz_out.json", "missing/fz.json", "."]))
+        if out is not None:
+            argv += ["--out", str(ws / out)]
+        if data.draw(st.sampled_from([False] * 9 + [True])):
+            argv.insert(data.draw(st.integers(0, len(argv))), data.draw(
+                st.sampled_from(["--bogus", "-x", "--", "--tasks", "--out"])))
+        return argv
+
+    def run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")  # as on a command line: not raised
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, err.getvalue()
+
+    def check(self, argv):
+        code, err = self.run(argv)
+        assert "Traceback" not in err, (argv, err)
+        assert code in (0, 2, 3, 4, 5), (argv, code, err)
+        if code in (3, 4, 5):
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            assert len(errors) == 1 and errors[0].startswith("error: "), (argv, err)
+            if code == 5:
+                assert errors[0].startswith(tuple(self.EXIT_5.values())), (argv, err)
+
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_malformed_flags_and_documents(self, fuzz_dir, data):
+        command = data.draw(st.sampled_from(sorted(self.COMMANDS)))
+        self.check(self.argv(data, fuzz_dir, command))
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_malformed_documents(self, fuzz_dir, data):
+        command, flag = data.draw(st.sampled_from([
+            ("solve-deadline", "--arrival-csv"), ("solve-deadline", "--acceptance-table"),
+            ("simulate", "--policy"), ("simulate --alloc", "--alloc"),
+            ("baseline", "--compare-policy"), ("solve-budget", "--acceptance-table"),
+            ("fit arrival", "--csv"), ("fit acceptance", "--csv")]))
+        self.check(self.argv(data, fuzz_dir, command, broken=flag))
+
+    @pytest.mark.parametrize("name, argv", [
+        ("an output that cannot be written",
+         ["fit", "arrival", "--csv", "arr.csv", "--out", "missing/p.json"]),
+        ("an exact budget DP past its work cap",
+         ["solve-budget", "--tasks", "8", "--budget", "99999999", "--acceptance-table",
+          "tab.csv", "--max-price", "20", "--exact"]),
+    ], ids=["unwritable-out", "exact-dp-cap"])
+    def test_each_exit_5_case_happens(self, fuzz_dir, monkeypatch, name, argv):
+        monkeypatch.chdir(fuzz_dir)
+        code, err = self.run(argv)
+        assert code == 5 and err.startswith(self.EXIT_5[name]), err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,24 @@ class TestSolveEfficient:
             np.testing.assert_allclose(a.opt, b.opt, rtol=0, atol=1e-9)
         assert solve_efficient(counterexample_problem()).opt[4, 0] == pytest.approx(
             3.767083, abs=1e-6)
+
+    def test_holds_tables_no_wider_than_the_states(self):
+        # 21 means up to 3000 per interval with N = 40: full-width tables run
+        # each row out to about 3,300 columns, and a solve that held them
+        # peaked at 2.3 MB; tables of N + 1 columns, one slice at a time,
+        # peak at 0.6 MB
+        prob = DeadlineProblem(
+            n_tasks=40, n_intervals=21, interval_seconds=3600,
+            profile=ArrivalProfile(3600, tuple(np.linspace(1.0, 3000.0, 21).tolist())),
+            model=TabulatedAcceptance({c: (c + 1) / 21 for c in range(21)}),
+            grid=PriceGrid(0, 20))
+        tracemalloc.start()
+        try:
+            solve_efficient(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 19
 
     def test_single_price_grid(self):
         prob = small_problem(grid=PriceGrid(4, 4))

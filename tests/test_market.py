@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from crowdpricer import market
 from crowdpricer import (
     ArrivalProfile,
     DataError,
@@ -135,6 +136,38 @@ class TestPoissonTables:
         assert pmf[1, 3] == pytest.approx(poisson_pmf(3, 2.5), rel=1e-13)
         pmf, tails = poisson_tables(np.zeros(2), 0)
         assert pmf.shape == (2, 0) and tails.tolist() == [[1.0], [1.0]]
+
+    def test_matches_the_full_width_tables_bit_for_bit(self):
+        # the columns past n are summed a block at a time; every entry must
+        # be the one a single full-width array gives
+        rng = np.random.default_rng(20141408)
+        width = market._TAIL_BLOCK
+        for _ in range(300):
+            m = int(rng.integers(0, 30))
+            mus = np.exp(rng.uniform(-4.0, math.log(4000.0), m))
+            mus[rng.random(m) < 0.2] = 0.0
+            if rng.random() < 0.5:
+                mus.sort()
+            end = poisson_support_end(float(mus.max(initial=0.0)))
+            n = int(rng.choice([0, 1, rng.integers(0, 60), end, end + 7]))
+            self.assert_bit_equal(mus, n, self.FLOORS[rng.integers(0, 2)])
+        # past-n widths of one, two and several blocks for one and many rows
+        for m in (1, 7, 40):
+            per_block = width // m
+            for blocks in (1, 2, 5):
+                lam = 0.0
+                while poisson_support_end(lam) < blocks * per_block:
+                    lam = 2.0 * lam + 1.0
+                self.assert_bit_equal(np.linspace(0.0, lam, m), 3, 1e-18)
+
+    @staticmethod
+    def assert_bit_equal(mus, n, floor):
+        pmf, tails = poisson_tables(mus, n, floor)
+        want_pmf, want_tails = oracles.full_width_poisson_tables(mus, n, floor)
+        assert pmf.shape == (len(mus), n) and tails.shape == (len(mus), n + 1)
+        assert np.array_equal(pmf, want_pmf), (mus, n, floor)
+        assert np.array_equal(tails, want_tails), (mus, n, floor)
+        assert pmf.base is None and tails.base is None  # no view of a wider array
 
     def test_rejects_bad_means(self):
         for bad in (-0.5, math.nan, math.inf):
