@@ -101,7 +101,11 @@ def expected_latency(expected_workers: float, mean_rate: float) -> float:
     """Hours until the expected_workers-th arrival at mean_rate per hour."""
     if mean_rate <= 0:
         raise ValueError("mean_rate must be positive")
-    return expected_workers / mean_rate
+    hours = expected_workers / mean_rate
+    if not math.isfinite(hours):
+        raise DomainError(f"mean_rate {mean_rate} puts the expected latency of "
+                          f"{expected_workers:g} workers past the float range")
+    return hours
 
 
 def lower_convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -8,8 +8,10 @@ document, the files written beside it (`simulate --csv`, `fit arrival
 document and writes it as JSON with sorted keys, so re-running the same
 invocation on the same inputs yields byte-identical output; then it writes
 the side files, and prints the summary only when the document went to a
-file.  `_bad_input` turns a constructor's ValueError into bad input data,
-and a warning prints as one `warning: <message>` line.
+file.  `errors._bad_input` turns a reader's or a constructor's exception
+into bad input data, and `_read_document` names the file in every error
+about a policy or allocation document.  A warning prints as one
+`warning: <message>` line.
 
 Exit codes: 0 success, 2 bad command line, 3 bad input data, 4 infeasible
 instance, 5 anything else.
@@ -43,7 +45,7 @@ from .deadline import (
     solve_efficient,
     solve_simple,
 )
-from .errors import CrowdPricerError, DataError, InfeasibleError
+from .errors import CrowdPricerError, DataError, InfeasibleError, _bad_input
 from .estimation import (
     derive_acceptance_model,
     fit_periodic_profile,
@@ -112,42 +114,39 @@ def _read_json(path: str, digests: dict[str, str]) -> dict:
     sha256 goes into `digests`.  An invalid text is read again, whole, so
     that `json.loads` says what is wrong with it and where."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            try:
-                doc = JsonStream(fh, digest).document()
-            except ValueError:  # a UnicodeDecodeError too, placed in the whole text
-                if fh.seekable():
-                    fh.seek(0)
-                    json.loads(fh.read().decode())
-                raise DataError(f"{path}: not valid JSON") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    with (_bad_input(f"cannot read {path}: ", OSError),
+          _bad_input(f"{path}: not valid UTF-8: ", UnicodeDecodeError),
+          _bad_input(f"{path}: not valid JSON: ", json.JSONDecodeError),
+          open(path, "rb") as fh):
+        try:
+            doc = JsonStream(fh, digest).document()
+        except ValueError:  # a UnicodeDecodeError too, placed in the whole text
+            if fh.seekable():
+                fh.seek(0)
+                json.loads(fh.read().decode())
+            raise DataError(f"{path}: not valid JSON") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object at the top level")
     digests[path] = digest.hexdigest()
     return doc
 
 
-def _read_policy(path: str, digests: dict[str, str]):
-    """Problem and policy from the policy document in `path`."""
+def _read_document(path: str, digests: dict[str, str], parse):
+    """`parse` of the JSON object in `path`; every error it raises about
+    the document names the file."""
     doc = _read_json(path, digests)
-    with _bad_input(f"{path}: ", DataError):
-        return policy_from_dict(doc)
+    with _bad_input(f"{path}: ", (DataError, KeyError, TypeError, ValueError)):
+        return parse(doc)
 
 
-@contextlib.contextmanager
-def _bad_input(prefix: str, errors=ValueError):
-    """Re-raise `errors` from the block as a DataError (exit 3) whose
-    message is `prefix` followed by the original message."""
-    try:
-        yield
-    except errors as exc:
-        raise DataError(f"{prefix}{exc}") from exc
+def _allocation_from_dict(doc: dict):
+    """The (price, count) entries and the acceptance model of an allocation
+    document, as `solve-budget` writes it."""
+    with _bad_input("bad allocation document: ", (KeyError, TypeError, ValueError)):
+        entries = _allocation_entries(
+            (e["price"], e["count"]) for e in doc["allocation"]["entries"]
+        )
+        return entries, model_from_dict(doc["problem"]["model"])
 
 
 @contextlib.contextmanager
@@ -375,17 +374,11 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
             )
         if args.arrival_csv is None:
             args._parser.error("--alloc needs --arrival-csv for worker arrivals")
-        raw = _read_json(args.alloc, digests)
-        with _bad_input(f"{args.alloc}: bad allocation document: ",
-                        (KeyError, TypeError, ValueError)):
-            entries = _allocation_entries(
-                (e["price"], e["count"]) for e in raw["allocation"]["entries"]
-            )
-            model = model_from_dict(raw["problem"]["model"])
+        entries, model = _read_document(args.alloc, digests, _allocation_from_dict)
         profile = _load_profile(args, digests)
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
-        problem, policy = _read_policy(args.policy, digests)
+        problem, policy = _read_document(args.policy, digests, policy_from_dict)
         if doc_flags:
             flag_problem = _build_deadline_problem(args, digests)
             d_flags = problem_digest(flag_problem)
@@ -451,7 +444,8 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
         f"price_floor_cents: {'none' if floor is None else f'{floor:.6f}'}",
     ]
     if args.compare_policy is not None:
-        other_problem, other_policy = _read_policy(args.compare_policy, digests)
+        other_problem, other_policy = _read_document(args.compare_policy, digests,
+                                                     policy_from_dict)
         ours, theirs = problem_to_dict(problem), problem_to_dict(other_problem)
         for key in (
             "n_tasks",
@@ -485,7 +479,8 @@ def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
         profiles.append(_read_csv(load_arrival_csv, path, digests,
                                   cumulative_snapshot=args.cumulative))
     if args.period_buckets is not None:
-        profile = fit_periodic_profile(profiles, args.period_buckets)
+        with _bad_input(f"{', '.join(args.csv)}: ", DataError):  # profiles that do not fold
+            profile = fit_periodic_profile(profiles, args.period_buckets)
     elif len(profiles) > 1:
         raise DataError("combining multiple CSVs requires --period-buckets")
     else:

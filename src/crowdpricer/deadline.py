@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, DomainError, InfeasibleError
+from .errors import DataError, DomainError, InfeasibleError, _bad_input
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -47,6 +47,7 @@ from .market import (
     _require_coverage,
     _require_int,
     _require_real,
+    _table_floor,
     _TIE_REL,
     _transition_tables,
     grid_from_dict,
@@ -102,11 +103,18 @@ class DeadlineProblem:
             raise ValueError(f"the horizon ends at {end} s, past 2**53 s")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
+        _table_floor(self.epsilon)
         if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
             raise ValueError("existence_alpha must be finite and >= 0")
         _require_coverage(self.model, self.grid)
         if not (self.penalty >= 0 and np.isfinite(self.penalty)):
             raise ValueError("penalty must be finite and >= 0")
+        top = self.terminal_cost(self.n_tasks) + 2 * self.n_tasks * self.grid.max_price
+        if not np.isfinite(top):  # no cost the solvers form exceeds this one
+            raise ValueError(
+                f"penalty {self.penalty} with existence_alpha {self.existence_alpha} "
+                f"gives costs past the float range for {self.n_tasks} tasks"
+            )
         if 0 < self.penalty < self.grid.max_price:
             # level 3 skips the generated __init__ and names the caller
             warnings.warn(
@@ -329,8 +337,8 @@ def _calibrated_solve(
 
     def achieved_at(pen: float):
         # the program chose this penalty: no warning meant for a user's
-        # penalty below grid.max_price
-        with warnings.catch_warnings():
+        # penalty below grid.max_price, but a bad problem if its costs overflow
+        with warnings.catch_warnings(), _bad_input("bad problem: calibration probe: "):
             warnings.simplefilter("ignore", UserWarning)
             probe = replace(problem, penalty=pen)
         policy = solver(probe)
@@ -403,24 +411,22 @@ def problem_from_dict(d: dict) -> DeadlineProblem:
     """The problem a document describes.  Values reach the constructors as
     they are, so a fractional count, a non-bool flag or a string number is
     rejected; so is a null penalty, which the constructor reads as its default."""
-    try:
-        # a low penalty was warned about, if at all, when the document was solved
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return DeadlineProblem(
-                n_tasks=d["n_tasks"],
-                n_intervals=d["n_intervals"],
-                interval_seconds=d["interval_seconds"],
-                start_offset_seconds=d.get("start_offset_seconds", 0),
-                penalty=_require_real("penalty", d["penalty"]),
-                existence_alpha=d.get("existence_alpha", 0.0),
-                epsilon=d.get("epsilon", 1e-9),
-                profile=profile_from_dict(d["profile"]),
-                model=model_from_dict(d["model"]),
-                grid=grid_from_dict(d["grid"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad deadline problem document: {exc}") from exc
+    # a low penalty was warned about, if at all, when the document was solved
+    with (_bad_input("bad deadline problem document: ", (KeyError, TypeError, ValueError)),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore", UserWarning)
+        return DeadlineProblem(
+            n_tasks=d["n_tasks"],
+            n_intervals=d["n_intervals"],
+            interval_seconds=d["interval_seconds"],
+            start_offset_seconds=d.get("start_offset_seconds", 0),
+            penalty=_require_real("penalty", d["penalty"]),
+            existence_alpha=d.get("existence_alpha", 0.0),
+            epsilon=d.get("epsilon", 1e-9),
+            profile=profile_from_dict(d["profile"]),
+            model=model_from_dict(d["model"]),
+            grid=grid_from_dict(d["grid"]),
+        )
 
 
 def problem_digest(problem: DeadlineProblem) -> str:
@@ -442,13 +448,11 @@ def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
     `policy_to_dict` writes them, or numpy rows or matrices; a matrix of the
     policy's dtype is used as it is, not copied.  Every price must lie on
     the problem's grid and every opt entry must be finite."""
-    try:
+    with _bad_input("bad policy document: ", (KeyError, TypeError, ValueError)):
         if _require_int("schema_version", d["schema_version"]) != SCHEMA_VERSION:
             raise DataError(f"unsupported schema_version {d['schema_version']}")
         problem = problem_from_dict(d["problem"])
         price, opt = np.asarray(d["price"]), np.asarray(d["opt"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad policy document: {exc}") from exc
     rows, cols = problem.n_tasks + 1, problem.n_intervals
     for name, m, shape in (("price", price, (rows, cols)), ("opt", opt, (rows, cols + 1))):
         if m.dtype.kind not in "iuf" or m.shape != shape:

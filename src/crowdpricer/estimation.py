@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, _bad_input
 from .market import ArrivalProfile, LogisticAcceptance, TabulatedAcceptance
 
 
@@ -69,38 +69,36 @@ def read_csv_rows(path: str, columns, digest=None):
         data = raw.read()
     if digest is not None:
         digest.update(data)
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None:
-                raise DataError(f"{path}: empty file")
-            if [h.strip() for h in first] != header:
+    with (_bad_input(f"{path}: not valid UTF-8: ", UnicodeDecodeError),
+          io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh):
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise DataError(
+                f"{path}: row 1: header must be "
+                f"'{','.join(header)}', got '{','.join(first)}'"
+            )
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # tolerate blank lines, such as a trailing one
+            if len(row) != len(header):
                 raise DataError(
-                    f"{path}: row 1: header must be "
-                    f"'{','.join(header)}', got '{','.join(first)}'"
+                    f"{path}: row {row_no}: expected {len(header)} fields, "
+                    f"got {len(row)}"
                 )
-            for row_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue  # tolerate blank lines, such as a trailing one
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {row_no}: expected {len(header)} fields, "
-                        f"got {len(row)}"
-                    )
-                values = []
-                for (name, kind), text in zip(columns, row):
-                    try:  # int() and float() would also read '1_0' and non-ASCII digits
-                        if kind is not str and (not text.isascii() or "_" in text):
-                            raise ValueError
-                        values.append(kind(text))
-                    except ValueError:
-                        what = "an integer" if kind is int else "a number"
-                        raise DataError(f"{path}: row {row_no}: {name} must be {what}, "
-                                        f"got '{text}'") from None
-                yield row_no, values
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+            values = []
+            for (name, kind), text in zip(columns, row):
+                try:  # int() and float() would also read '1_0' and non-ASCII digits
+                    if kind is not str and (not text.isascii() or "_" in text):
+                        raise ValueError
+                    values.append(kind(text))
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise DataError(f"{path}: row {row_no}: {name} must be {what}, "
+                                    f"got '{text}'") from None
+            yield row_no, values
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +197,8 @@ def load_acceptance_table(path: str, digest=None) -> TabulatedAcceptance:
         if c in entries:
             raise DataError(f"{path}: row {row_no}: duplicate price {c}")
         entries[c] = p
-    try:
+    with _bad_input(f"{path}: "):
         return TabulatedAcceptance(entries=entries)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ The two primitives of the pricing model live here and nowhere else.  An
 vectorized over window edges) and back (``_time_at``, the time change the
 budget simulator samples through).  ``_transition_tables`` builds the
 Poisson pickup tables at means lambda_t * p(c) that the deadline solvers,
-the exact evaluator and ``transition_distribution`` read, and holds the
-one rule that sizes their truncated support; ``truncation_threshold`` is
-a view of its cap.
+the exact evaluator and ``transition_distribution`` read; ``_table_floor``
+holds the one rule that sizes their truncated support, and
+``truncation_threshold`` is a view of its cap.
 
 Objects hold plain checked values: each constructor stores every number
 and flag it takes as the Python ``int``, ``float`` or ``bool`` that
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, _bad_input
 
 
 def _require_int(name: str, value) -> int:
@@ -391,6 +391,16 @@ def truncation_threshold(lam: float, epsilon: float) -> int:
     return int(_transition_tables(np.array([lam]), n_max, epsilon)[2][0])
 
 
+def _table_floor(eps: float) -> float:
+    """The Poisson mass a table at truncation level eps may leave out past
+    its support end: 1e-9 * eps, at most 1e-18.  An eps whose floor
+    underflows to 0 leaves no support end, so it is rejected."""
+    floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
+    if floor == 0.0:
+        raise ValueError(f"epsilon {eps} is too small: its table floor 1e-9 * epsilon is 0")
+    return floor
+
+
 def _transition_tables(
     mus: np.ndarray, n_max: int, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -404,8 +414,7 @@ def _transition_tables(
     price.  Each table leaves out only the Poisson mass past its support
     end, below a floor of 1e-9 * eps and at most 1e-18.
     """
-    floor = min(1e-18, eps * 1e-9) if eps > 0.0 else 1e-18
-    pmf, tails = poisson_tables(mus, n_max, floor)
+    pmf, tails = poisson_tables(mus, n_max, _table_floor(eps))
     below = tails < eps  # never true when eps == 0
     below[:, n_max] = True  # so the first True is at min(N, s0)
     caps = below.argmax(axis=1)
@@ -428,14 +437,12 @@ def profile_to_dict(profile: ArrivalProfile) -> dict:
 
 
 def profile_from_dict(d: dict) -> ArrivalProfile:
-    try:
+    with _bad_input("bad arrival profile document: ", (KeyError, TypeError, ValueError)):
         return ArrivalProfile(
             bucket_seconds=d["bucket_seconds"],
             rates=d["rates"],
             periodic=d.get("periodic", False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad arrival profile document: {exc}") from exc
 
 
 def model_to_dict(model: AcceptanceModel) -> dict:
@@ -450,7 +457,8 @@ def model_to_dict(model: AcceptanceModel) -> dict:
 
 
 def model_from_dict(d: dict) -> AcceptanceModel:
-    try:
+    with _bad_input("bad acceptance model document: ",
+                    (AttributeError, KeyError, TypeError, ValueError)):
         kind = d["type"]
         if kind == "logistic":
             return LogisticAcceptance(d["scale_s"], d["bias_b"], d["market_mass_m"])
@@ -461,8 +469,6 @@ def model_from_dict(d: dict) -> AcceptanceModel:
             if bad:
                 raise ValueError(f"tabulated price {bad[0]!r} must be written '{int(bad[0])}'")
             return TabulatedAcceptance(entries={int(k): p for k, p in entries.items()})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad acceptance model document: {exc}") from exc
     raise DataError(f"unknown acceptance model type: {kind!r}")
 
 
@@ -471,11 +477,9 @@ def grid_to_dict(grid: PriceGrid) -> dict:
 
 
 def grid_from_dict(d: dict) -> PriceGrid:
-    try:
+    with _bad_input("bad price grid document: ", (KeyError, TypeError, ValueError)):
         return PriceGrid(
             min_price=d["min_price"],
             max_price=d["max_price"],
             step=d.get("step", 1),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad price grid document: {exc}") from exc

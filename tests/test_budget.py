@@ -19,6 +19,7 @@ from crowdpricer import (
     solve_static_exact,
     solve_static_lp,
 )
+from crowdpricer.errors import DomainError
 
 
 def reference_model():
@@ -107,6 +108,31 @@ class TestSolveStaticLp:
                 grid=PriceGrid(5, 20), mean_rate=50.0)
 
 
+class TestDeadPrices:
+    """A price with p below DEAD_PRICE_FLOOR is unusable, so the cheapest
+    usable price, not the grid's cheapest, sets the least budget."""
+
+    @pytest.mark.parametrize("solve, message", [
+        (solve_static_lp, r"budget below minimum: 6 < 2 \* 5"),
+        (solve_static_exact, "budget below minimum: cannot price 2 tasks within 6"),
+    ], ids=["lp", "exact"])
+    def test_budget_below_the_cheapest_usable_price(self, solve, message):
+        # BudgetProblem accepts budget 6 >= 2 * min_price 0; prices 0..4 are dead
+        model = TabulatedAcceptance({c: 1e-13 if c < 5 else 0.5 for c in range(11)})
+        prob = BudgetProblem(n_tasks=2, budget=6, model=model, grid=PriceGrid(0, 10),
+                             mean_rate=50.0)
+        with pytest.raises(InfeasibleError, match=message):
+            solve(prob)
+
+    @pytest.mark.parametrize("solve", [solve_static_lp, solve_static_exact],
+                             ids=["lp", "exact"])
+    def test_no_usable_price(self, solve):
+        prob = BudgetProblem(n_tasks=2, budget=10, grid=PriceGrid(0, 5), mean_rate=50.0,
+                             model=TabulatedAcceptance({c: 1e-13 for c in range(6)}))
+        with pytest.raises(InfeasibleError, match="no usable price on grid"):
+            solve(prob)
+
+
 class TestSolveStaticExact:
     def test_matches_multiset_enumeration(self):
         rng = np.random.default_rng(61)
@@ -192,6 +218,11 @@ class TestExpectedLatency:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             expected_latency(10.0, 0.0)
+
+    def test_latency_past_the_float_range_rejected(self):
+        # 2 / 1e-320 is inf: no latency document may hold it
+        with pytest.raises(DomainError, match="mean_rate 1e-320 puts the expected latency"):
+            expected_latency(2.0, 1e-320)
 
 
 class TestScaling:

@@ -354,6 +354,20 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: alloc_bad.json: bad allocation document: {reason}"]
 
+    @pytest.mark.parametrize("model, reason", [
+        ({"type": "logistic", "scale_s": -1.0, "bias_b": 0.0, "market_mass_m": 1.0},
+         "bad acceptance model document: scale_s must be positive and finite"),
+        ({"type": "nope"}, "unknown acceptance model type: 'nope'"),
+    ], ids=["bad-model", "unknown-type"])
+    def test_alloc_bad_model_names_the_file(self, ws, monkeypatch, capsys, model, reason):
+        doc = ensure(ws, "alloc.json")
+        doc["problem"]["model"] = model
+        (ws / "alloc_model.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(ws)
+        assert cli.main(["simulate", "--alloc", "alloc_model.json", "--arrival-csv",
+                         "arr.csv", "--trials", "10"]) == 3
+        assert capsys.readouterr().err == f"error: alloc_model.json: {reason}\n"
+
     def test_alloc_rejects_model_flags(self, ws):
         ensure(ws, "alloc.json")
         r = run_cli(ws, "simulate", "--alloc", "alloc.json", "--arrival-csv",
@@ -459,12 +473,22 @@ class TestFlagDomains:
         ([*FIT, "--mass-normalization", "1e-320"],
          "market_mass_m = market_total_per_hour * task_seconds / mass_normalization_seconds"),
         (["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "0"], "period_buckets"),
+        (["solve-deadline", *PROB_FLAGS, "--penalty", "1e308"],
+         "bad problem: penalty 1e+308 with existence_alpha 0.0 gives costs past the float range"),
+        (["solve-deadline", *PROB_FLAGS, "--existence-alpha", "1e308"],
+         "bad problem: penalty 200.0 with existence_alpha 1e+308 gives costs past the float range"),
+        (["solve-deadline", *flags("--epsilon", "1e-320")],
+         "bad problem: epsilon 1e-320 is too small"),
+        (["solve-budget", "--tasks", "3", "--budget", "30", "--acceptance-table", "tab.csv",
+          "--max-price", "20", "--mean-rate", "1e-320"],
+         "mean_rate 1e-320 puts the expected latency"),
     ], ids=["baseline-confidence-1.0", "baseline-confidence--0.1", "baseline-zero-arrivals",
             "baseline-trials-0", "baseline-seed--1", "bound--1", "bound-nan", "bound-inf",
             "bound-tol-2", "deadline-hours-inf", "deadline-hours-1e300", "intervals-0", "task-seconds-nan",
             "market-total-inf", "mass-normalization-nan", "task-seconds-1e308",
             "task-seconds-5e-324", "market-total-1e308", "mass-normalization-1e-320",
-            "period-buckets-0"])
+            "period-buckets-0", "penalty-1e308", "existence-alpha-1e308", "epsilon-1e-320",
+            "mean-rate-1e-320"])
     def test_exits_3_naming_the_flag(self, ws, monkeypatch, capsys, argv, needle):
         (ws / "arrzero.csv").write_text(
             "t_seconds,count\n" + "".join(f"{i * 1200},0\n" for i in range(6)))
@@ -551,6 +575,18 @@ class TestFit:
         prof = load(ws, "cprof.json")["profile"]
         assert prof == {"bucket_seconds": 900, "periodic": False,
                         "rates": [3.0, 0.0, 6.0]}
+
+    @pytest.mark.parametrize("csvs, period, reason", [
+        (["arr.csv", "cum.csv"], "2", "profiles disagree on bucket size: 900 vs 1200"),
+        (["arr.csv"], "7", "profile with 6 buckets is shorter than the period (7)"),
+    ], ids=["bucket-sizes", "short"])
+    def test_arrival_errors_name_the_csvs(self, ws, monkeypatch, capsys, csvs, period,
+                                          reason):
+        monkeypatch.chdir(ws)
+        argv = ["fit", "arrival", *(a for c in csvs for a in ("--csv", c)),
+                "--period-buckets", period]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {', '.join(csvs)}: {reason}\n"
 
     def test_acceptance_recovers_generating_curve(self, ws):
         doc = ensure(ws, "model.json")

@@ -13,6 +13,7 @@ from crowdpricer import deadline, market
 from crowdpricer import (
     ArrivalProfile,
     DataError,
+    DeadlinePolicy,
     DeadlineProblem,
     InfeasibleError,
     LogisticAcceptance,
@@ -105,6 +106,15 @@ class TestTransitionDistribution:
             transition_distribution(3, -1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             transition_distribution(3, 1.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("epsilon, message", [
+        (1.0, r"epsilon must be in \[0, 1\)"),
+        (-0.1, r"epsilon must be in \[0, 1\)"),
+        (1e-320, "epsilon 1e-320 is too small"),
+    ], ids=["one", "negative", "floor-underflows"])
+    def test_invalid_epsilon(self, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            transition_distribution(5, 1.0, 0.5, epsilon)
 
 
 class TestSolveSimple:
@@ -525,6 +535,15 @@ class TestCalibrate:
         with pytest.raises(InfeasibleError):
             calibrate_penalty(prob, bound=0.01)
 
+    def test_a_probe_whose_costs_overflow_is_bad_input(self):
+        # penalty 0 costs nothing, but the second doubling probe, penalty 2,
+        # makes (n + 1e308) * 2 overflow
+        prob = small_problem(grid=PriceGrid(0, 0), model=TabulatedAcceptance({0: 0.2}),
+                             penalty=0.0, existence_alpha=1e308)
+        with pytest.raises(DataError, match="bad problem: calibration probe: penalty 2.0 "
+                                            "with existence_alpha 1e[+]308 gives costs past"):
+            calibrate_penalty(prob, bound=0.01)
+
     def test_out_of_domain_bound_rejected_before_any_solve(self):
         solves = []
 
@@ -541,6 +560,10 @@ class TestCalibrate:
 
 
 class TestSerialization:
+    def test_policy_shape_checked(self):
+        with pytest.raises(ValueError, match=r"price must be \(N\+1, N_T\)"):
+            DeadlinePolicy(price=np.zeros((3, 2)), opt=np.zeros((3, 2)), problem_digest="")
+
     def test_policy_round_trip(self):
         prob = small_problem()
         policy = solve_simple(prob)
@@ -642,6 +665,34 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="grid price"):
             small_problem(grid=PriceGrid(0, 9))
         assert small_problem(grid=PriceGrid(2, 8, step=3)).grid.max_price == 8
+
+    def test_negative_start_offset_rejected(self):
+        with pytest.raises(ValueError, match="start_offset_seconds must be >= 0"):
+            small_problem(start_offset_seconds=-1)
+
+    @pytest.mark.parametrize("overrides", [
+        {"penalty": 1e308},
+        {"existence_alpha": 1e308},
+        {"penalty": 1e300, "existence_alpha": 1e9},
+    ], ids=["penalty", "existence_alpha", "both"])
+    def test_costs_past_the_float_range_rejected(self, overrides):
+        # the terminal cost (n + alpha) * penalty would be inf, and so would opt
+        with pytest.raises(ValueError, match="gives costs past the float range for 6 tasks"):
+            small_problem(**overrides)
+
+    def test_largest_costs_that_fit_are_accepted(self):
+        policy = solve_efficient(small_problem(penalty=1e307))
+        assert np.isfinite(policy.opt).all()
+
+    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+    def test_epsilon_whose_table_floor_underflows_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon {epsilon} is too small"):
+            small_problem(epsilon=epsilon)
+
+    def test_subnormal_table_floor_is_accepted(self):
+        # 1e-9 * 1e-314 is a subnormal, not 0: the tables still have an end
+        policy = solve_efficient(small_problem(epsilon=1e-314))
+        assert np.array_equal(policy.price, solve_efficient(small_problem()).price)
 
     def test_offset_shifts_rates(self):
         profile = ArrivalProfile(600, (2.0, 3.5, 1.0, 2.5), periodic=True)

@@ -18,6 +18,7 @@ from crowdpricer import (
     load_observations_csv,
     write_arrival_csv,
 )
+from crowdpricer.estimation import load_acceptance_table
 
 
 def write_csv(path, text):
@@ -26,6 +27,11 @@ def write_csv(path, text):
 
 
 class TestLoadArrivalCsv:
+    def test_negative_time_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "neg.csv", "t_seconds,count\n-600,1\n0,2\n")
+        with pytest.raises(DataError, match="row 2: t_seconds must be non-negative"):
+            load_arrival_csv(p)
+
     def test_three_row_example(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "t_seconds,count\n0,5\n1200,7\n2400,0\n")
         prof = load_arrival_csv(p)
@@ -96,6 +102,15 @@ class TestLoadArrivalCsv:
             prof = load_arrival_csv(p)
             assert prof.bucket_seconds == bucket
             assert prof.rates == tuple(rates)
+
+
+class TestLoadAcceptanceTable:
+    def test_constructor_error_names_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "down.csv", "price_cents,probability\n0,0.5\n1,0.4\n")
+        with pytest.raises(DataError) as info:
+            load_acceptance_table(p)
+        assert str(info.value) == (f"{p}: probabilities must be non-decreasing in price: "
+                                   f"p(1)=0.4 < p(0)=0.5")
 
 
 class TestFitPeriodicProfile:

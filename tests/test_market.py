@@ -8,6 +8,7 @@ import pytest
 import oracles
 from crowdpricer import market
 from crowdpricer import (
+    AcceptanceModel,
     ArrivalProfile,
     DataError,
     LogisticAcceptance,
@@ -216,6 +217,17 @@ class TestTruncationThreshold:
         with pytest.raises(ValueError):
             truncation_threshold(5.0, 1.0)
 
+    def test_epsilon_whose_table_floor_underflows(self):
+        # 1e-9 * 1e-320 is 0.0, which leaves the tables no support end
+        with pytest.raises(ValueError, match="epsilon 1e-320 is too small"):
+            truncation_threshold(10.0, 1e-320)
+        # 1e-9 * 1e-314 is a subnormal, a floor like any other
+        assert truncation_threshold(10.0, 1e-314) > truncation_threshold(10.0, 1e-300)
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            truncation_threshold(-1.0, 1e-9)
+
 
 class TestLogisticAcceptance:
     def test_reference_point(self):
@@ -267,6 +279,11 @@ class TestLogisticAcceptance:
         assert model == LogisticAcceptance(15.0, -0.5, 2000.0)
         assert {type(v) for v in vars(model).values()} == {float}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bias_rejected(self, bad):
+        with pytest.raises(ValueError, match="bias_b must be finite"):
+            LogisticAcceptance(scale_s=15.0, bias_b=bad, market_mass_m=2000.0)
+
 
 class TestTabulatedAcceptance:
     def test_lookup(self):
@@ -284,6 +301,10 @@ class TestTabulatedAcceptance:
     def test_must_be_monotone(self):
         with pytest.raises(ValueError):
             TabulatedAcceptance({0: 0.5, 1: 0.4})
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one entry"):
+            TabulatedAcceptance({})
 
     def test_probability_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -471,3 +492,9 @@ class TestSerialization:
             profile_from_dict({"bucket_seconds": 60})
         with pytest.raises(DataError):
             grid_from_dict({"min_price": 0})
+
+    def test_unknown_model_type(self):
+        with pytest.raises(TypeError, match="unknown acceptance model type"):
+            model_to_dict(AcceptanceModel())
+        with pytest.raises(DataError, match="^unknown acceptance model type: 'nope'$"):
+            model_from_dict({"type": "nope"})

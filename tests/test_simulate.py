@@ -478,6 +478,17 @@ class TestPriceFloor:
         with pytest.raises(ValueError):
             price_floor_c0(prob)
 
+    def test_tabulated_curve_below_the_target_is_marked_infeasible(self):
+        # 5 tasks over 7 expected arrivals need p >= 5/7, and p(6) is 0.7
+        prob = toy_problem()
+        assert prob.model.probability(prob.grid.max_price) < 5 / 7 <= 1.0
+        assert price_floor_c0(prob) is None
+
+    def test_logistic_floor_at_zero_when_p0_meets_the_target(self):
+        # p(0) = 1 / 1.5 is above the target of 2/7
+        prob = toy_problem(n_tasks=2, model=LogisticAcceptance(15.0, 0.0, 0.5))
+        assert price_floor_c0(prob) == 0.0
+
 
 class TestCostReduction:
     def test_examples(self):
@@ -585,3 +596,7 @@ class TestReportOutput:
         assert json.dumps(report_to_dict(rep)["config"]) == (
             '{"trials": 10, "seed": 1, "parallel": true}')
         assert FixedPrice(np.int64(2)).price == 2
+
+    def test_negative_fixed_price_rejected(self):
+        with pytest.raises(ValueError, match="price must be >= 0"):
+            FixedPrice(-1)
