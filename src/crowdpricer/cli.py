@@ -474,6 +474,8 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
 
 
 def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
+    if args.period_buckets is not None and args.period_buckets < 1:  # a flag, before any file
+        raise DataError(f"--period-buckets: period_buckets must be >= 1, got {args.period_buckets}")
     profiles = []
     for path in args.csv:
         profiles.append(_read_csv(load_arrival_csv, path, digests,

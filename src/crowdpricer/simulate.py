@@ -105,10 +105,12 @@ class SimulationReport:
 
     def _rows(self):
         """(cost, remaining, completion seconds or None, workers or None)
-        per trial, as Python values."""
-        done = [None if math.isnan(t) else t for t in self.completion.tolist()]
-        workers = [None] * len(done) if self.workers is None else self.workers.tolist()
-        return zip(self.cost.tolist(), self.remaining.tolist(), done, workers)
+        per trial, as Python values, made one block of trials at a time."""
+        for lo in range(0, len(self.cost), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            done = [None if math.isnan(t) else t for t in self.completion[block].tolist()]
+            workers = [None] * len(done) if self.workers is None else self.workers[block].tolist()
+            yield from zip(self.cost[block].tolist(), self.remaining[block].tolist(), done, workers)
 
     @property
     def per_trial(self) -> tuple[TrialOutcome, ...]:
@@ -118,17 +120,26 @@ class SimulationReport:
     def aggregates(self) -> Aggregates:
         """Reductions of the per-trial columns, in trial order."""
 
-        def mean_se(values: np.ndarray) -> tuple[float, float]:
-            values = values.astype(np.float64)
-            m = float(np.mean(values))
-            se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-            return m, se
+        def mean_se(scratch: np.ndarray) -> tuple[float, float]:
+            """np.mean and np.std(ddof=1) / sqrt(n), bit for bit: numpy's
+            reductions in numpy's order, squaring the deviations in place
+            in the float64 array given, which this overwrites."""
+            n = len(scratch)
+            mean = np.add.reduce(scratch) / n
+            if n == 1:
+                return float(mean), 0.0
+            scratch -= mean
+            np.square(scratch, out=scratch)
+            return float(mean), float(np.sqrt(np.add.reduce(scratch) / (n - 1)) / math.sqrt(n))
 
+        # one scratch column at a time; the NaN-filtered one is already a copy
+        mean_cost, se_cost = mean_se(self.cost.astype(np.float64))
+        mean_rem, se_rem = mean_se(self.remaining.astype(np.float64))
+        mean_w, se_w = (
+            (None, None) if self.workers is None else mean_se(self.workers.astype(np.float64))
+        )
         done = self.completion[~np.isnan(self.completion)]
-        mean_cost, se_cost = mean_se(self.cost)
-        mean_rem, se_rem = mean_se(self.remaining)
         mean_done, se_done = mean_se(done) if len(done) else (None, None)
-        mean_w, se_w = (None, None) if self.workers is None else mean_se(self.workers)
         return Aggregates(
             mean_cost=mean_cost,
             se_cost=se_cost,
@@ -233,22 +244,24 @@ def simulate_budget(
     completion = np.full(config.trials, np.nan)
     workers = np.empty(config.trials, dtype=np.int64)
     for rng, lo, hi in _blocks(config, max(1, min(_BLOCK, _BLOCK_CELLS // n_tasks))):
-        quota = np.cumsum(rng.geometric(probs_desc, size=(hi - lo, n_tasks)), axis=1)
+        quota = rng.geometric(probs_desc, size=(hi - lo, n_tasks))
+        np.cumsum(quota, axis=1, out=quota)  # in the draw buffer
         need = quota[:, -1]
         workers[lo:hi] = need
         if profile.periodic:
             periods, r = np.divmod(rng.standard_gamma(need), total)
             completion[lo:hi] = periods * profile.span_seconds + profile._time_at(r)
-            continue
-        count = rng.poisson(total, size=hi - lo)
-        ok = count >= need
-        at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
-        completion[lo:hi][ok] = profile._time_at(at)
-        short = ~ok
-        done = np.sum(quota[short] <= count[short, None], axis=1)
-        cost[lo:hi][short] = paid[done]
-        remaining[lo:hi][short] = n_tasks - done
-        workers[lo:hi][short] = count[short]
+        else:
+            count = rng.poisson(total, size=hi - lo)
+            ok = count >= need
+            at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
+            completion[lo:hi][ok] = profile._time_at(at)
+            short = ~ok
+            done = np.sum(quota[short] <= count[short, None], axis=1)
+            cost[lo:hi][short] = paid[done]
+            remaining[lo:hi][short] = n_tasks - done
+            workers[lo:hi][short] = count[short]
+        del quota, need  # free this block's draws before the next block's
     descriptor = "allocation:" + ",".join(
         f"{c}x{k}" for c, k in sorted(entries)
     )

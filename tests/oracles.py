@@ -44,6 +44,28 @@ def mp_logistic_probability(price, scale_s, bias_b, mass_m) -> mp.mpf:
         return u / (u + mp.mpf(mass_m))
 
 
+def numpy_aggregates(cost, remaining, completion, workers=None) -> dict:
+    """The simulation report's aggregates from np.mean and np.std(ddof=1)
+    on a float64 copy of each column (the completion column without its
+    NaNs): the reference the in-place reductions must match bit for bit."""
+
+    def mean_se(values):
+        values = np.asarray(values).astype(np.float64)
+        se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+        return float(np.mean(values)), se
+
+    done = completion[~np.isnan(completion)]
+    out = {}
+    out["mean_cost"], out["se_cost"] = mean_se(cost)
+    out["mean_remaining"], out["se_remaining"] = mean_se(remaining)
+    out["completion_rate"] = len(done) / len(cost)
+    out["mean_completion_seconds"], out["se_completion_seconds"] = (
+        mean_se(done) if len(done) else (None, None))
+    out["mean_workers"], out["se_workers"] = (
+        (None, None) if workers is None else mean_se(workers))
+    return out
+
+
 def full_width_poisson_tables(mus, n: int, floor: float = 1e-18):
     """Poisson tables as one full-width array: every row evaluated out to
     past n and past the support end of the largest mean, then cut to n pmf

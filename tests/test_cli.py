@@ -588,6 +588,13 @@ class TestFit:
         assert cli.main(argv) == 3
         assert capsys.readouterr().err == f"error: {', '.join(csvs)}: {reason}\n"
 
+    def test_arrival_bad_period_names_the_flag_not_the_csv(self, ws, monkeypatch, capsys):
+        monkeypatch.chdir(ws)
+        assert cli.main(["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: --period-buckets: period_buckets must be >= 1, got 0\n"
+        assert "arr.csv" not in err
+
     def test_acceptance_recovers_generating_curve(self, ws):
         doc = ensure(ws, "model.json")
         fit = doc["fit"]

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from crowdpricer import (
     ArrivalProfile,
     DataError,
@@ -34,7 +37,7 @@ from crowdpricer import (
     solve_simple,
 )
 from crowdpricer.errors import DomainError
-from crowdpricer.simulate import report_to_dict, write_trials_csv
+from crowdpricer.simulate import SimulationReport, report_to_dict, write_trials_csv
 
 # two-sided 99.9% point of chi-square, df = 6
 CHI2_999_DF6 = 22.458
@@ -600,3 +603,93 @@ class TestReportOutput:
     def test_negative_fixed_price_rejected(self):
         with pytest.raises(ValueError, match="price must be >= 0"):
             FixedPrice(-1)
+
+
+def _bits(fields: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+class TestAggregatesBits:
+    """The report reduces each column in place; np.mean and np.std(ddof=1)
+    on a float64 copy (oracles.numpy_aggregates) are the reference."""
+
+    @staticmethod
+    def columns(n, seed, *, offset=0, done_share=0.8):
+        rng = np.random.default_rng(seed)
+        cost = offset + rng.integers(0, 5000, n)
+        remaining = rng.integers(0, 7, n)
+        completion = offset + rng.random(n) * 1e5
+        completion[rng.random(n) >= done_share] = np.nan
+        workers = offset + rng.integers(100, 40000, n)
+        return cost, remaining, completion, workers
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 50001])
+    @pytest.mark.parametrize("kind", ["int64", "float64", "near-1e15", "constant",
+                                      "all-done", "none-done", "no-workers"])
+    def test_matches_numpy(self, n, kind):
+        cost, remaining, completion, workers = self.columns(n, 1000 + n)
+        if kind == "float64":
+            cost, workers = cost * 0.37, workers / 3.0
+        elif kind == "near-1e15":
+            cost, remaining, completion, workers = self.columns(n, 2000 + n, offset=10**15)
+            cost = cost * 1.000001  # a float64 column near 1e15 too
+        elif kind == "constant":
+            cost, remaining = np.full(n, 2400), np.zeros(n, dtype=np.int64)
+            completion, workers = np.full(n, 86400.0), np.full(n, 31000)
+        elif kind == "all-done":
+            completion = self.columns(n, 3000 + n, done_share=2.0)[2]
+        elif kind == "none-done":
+            completion = np.full(n, np.nan)
+        elif kind == "no-workers":
+            workers = None
+        want = oracles.numpy_aggregates(cost, remaining, completion, workers)
+        config = SimulationConfig(trials=n, seed=0)
+        rep = SimulationReport("test", config, cost, remaining, completion.copy(), workers)
+        assert _bits(asdict(rep.aggregates())) == _bits(want)
+        # the columns themselves are left as they were
+        assert np.array_equal(rep.completion, completion, equal_nan=True)
+
+
+class TestColumnsMemory:
+    """What a simulation holds beyond its result columns (traced by
+    tracemalloc, which sees numpy's buffers)."""
+
+    TRIALS, TASKS = 50000, 50
+    COLUMN = TRIALS * 8  # bytes in one int64 or float64 column
+
+    def budget_report(self):
+        model = TabulatedAcceptance({12: 0.4})
+        profile = ArrivalProfile(1200, tuple(1000.0 + 50 * (i % 9) for i in range(72)),
+                                 periodic=True)
+        return simulate_budget(((12, self.TASKS),), profile, model,
+                               SimulationConfig(trials=self.TRIALS, seed=5))
+
+    def test_budget_simulation_and_report_hold_two_columns_beyond_the_result(self):
+        self.budget_report()  # warm numpy's and the package's lazy set-up
+        tracemalloc.start()
+        try:
+            report_to_dict(self.budget_report())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 + 2) * self.COLUMN, peak
+
+    def test_csv_is_written_block_by_block(self, tmp_path):
+        rep = self.budget_report()
+        write_trials_csv(rep, str(tmp_path / "warm.csv"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_trials_csv(rep, str(tmp_path / "trials.csv"))
+            above = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert above < 2**20, above
+        # the bytes the whole columns give, across every block boundary
+        rows = zip(rep.cost.tolist(), rep.remaining.tolist(), rep.completion.tolist())
+        want = "".join(f"{i},{c},{r},{'' if math.isnan(t) else repr(t)}\n"
+                       for i, (c, r, t) in enumerate(rows))
+        text = (tmp_path / "trials.csv").read_text()
+        assert text == "trial,cost_cents,remaining,completion_seconds\n" + want
+        assert [(t.total_cost, t.remaining_tasks, t.workers) for t in rep.per_trial] == list(
+            zip(rep.cost.tolist(), rep.remaining.tolist(), rep.workers.tolist()))
