@@ -159,9 +159,25 @@ def _writing(path: str):
         raise CrowdPricerError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _value(args: argparse.Namespace, flag: str):
+    """The value of `flag`, or None where the command has no such flag."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None)
+
+
 def _given(args: argparse.Namespace, flags) -> list[str]:
     """The flags among `flags` that the command line set, in order."""
-    return [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
+    return [f for f in flags if _value(args, f) is not None]
+
+
+def _check_outputs(args: argparse.Namespace, outputs) -> None:
+    """Exit 2 if an output flag names the same file as an input or as another output."""
+    named = {}  # resolved path -> the first flag naming it; `fit --csv` is an input
+    for flag in ("--policy", "--alloc", "--compare-policy", "--arrival-csv",
+                 "--acceptance-table", "--csv", *outputs):
+        for path in value if isinstance(value := _value(args, flag), list) else [value]:
+            other = named.setdefault(os.path.realpath(path), flag) if path else flag
+            if flag in outputs and other != flag:
+                args._parser.error(f"{flag} and {other} name the same file: {path}")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -267,7 +283,7 @@ def _build_deadline_problem(
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: (flags, input digests) -> (document, side files as
-# (writer, object, path or None), summary lines).
+# (writer, object, output flag), summary lines).
 
 
 def _cmd_solve_deadline(args: argparse.Namespace, digests: dict[str, str]):
@@ -323,14 +339,8 @@ def _cmd_solve_budget(args: argparse.Namespace, digests: dict[str, str]):
         )
     alloc = solve_static_exact(problem) if args.exact else solve_static_lp(problem)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "problem": {
-            "n_tasks": problem.n_tasks,
-            "budget": problem.budget,
-            "mean_rate": problem.mean_rate,
-            "model": model_to_dict(model),
-            "grid": grid_to_dict(grid),
-        },
+        "problem": {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem)}
+        | {"model": model_to_dict(model), "grid": grid_to_dict(grid)},
         "method": "exact" if args.exact else "lp",
         "allocation": {
             "entries": [{"price": c, "count": k} for c, k in alloc.entries],
@@ -380,15 +390,12 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
     elif args.policy is not None:
         problem, policy = _read_document(args.policy, digests, policy_from_dict)
         if doc_flags:
-            flag_problem = _build_deadline_problem(args, digests)
-            d_flags = problem_digest(flag_problem)
+            d_flags = problem_digest(_build_deadline_problem(args, digests))
             if policy.problem_digest != d_flags:
                 raise DataError(
                     f"policy/problem mismatch: {args.policy} was solved for "
-                    f"problem {policy.problem_digest}, the flags describe "
-                    f"{d_flags}"
+                    f"problem {policy.problem_digest}, the flags describe {d_flags}"
                 )
-            problem = flag_problem
         elif args.arrival_csv is not None:
             profile = _load_profile(args, digests)
             if profile_to_dict(profile) != profile_to_dict(problem.profile):
@@ -415,7 +422,7 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
     ]
     if agg["mean_completion_seconds"] is not None:
         summary.append(f"mean_completion_seconds: {agg['mean_completion_seconds']:.3f}")
-    return doc, [(write_trials_csv, report, args.csv)], summary
+    return doc, [(write_trials_csv, report, "--csv")], summary
 
 
 def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
@@ -425,7 +432,6 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     ev = evaluate_fixed_price(problem, price)
     floor = price_floor_c0(problem)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "baseline": {
             "price_cents": price,
             "completion_probability": prob,
@@ -489,15 +495,12 @@ def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
         profile = profiles[0]
         if args.periodic:
             profile = dataclasses.replace(profile, periodic=True)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "profile": profile_to_dict(profile),
-    }
+    doc = {"profile": profile_to_dict(profile)}
     summary = [
         f"buckets: {len(profile.rates)} x {profile.bucket_seconds}s",
         f"mean_rate_per_hour: {profile.mean_rate_per_hour():.6f}",
     ]
-    return doc, [(write_arrival_csv, profile, args.csv_out)], summary
+    return doc, [(write_arrival_csv, profile, "--csv-out")], summary
 
 
 def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
@@ -510,7 +513,6 @@ def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
         mass_normalization_seconds=args.mass_normalization,
     )
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "fit": dataclasses.asdict(fit),
         "model": model_to_dict(derived.model),
         "derivation": derived.derivation,
@@ -540,7 +542,6 @@ def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
         )
     solution = solve_tradeoff(problem)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "problem": {
             "n_tasks": problem.n_tasks,
             "alpha": problem.alpha,
@@ -875,6 +876,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         digests: dict[str, str] = {}
         doc, side_files, summary = args.func(args, digests)
+        _check_outputs(args, ["--out", *(flag for *_, flag in side_files)])
+        doc["schema_version"] = SCHEMA_VERSION
         doc["manifest"] = {
             # nested subparsers cannot overwrite `command` (argparse only
             # applies a parser default when the attribute is absent), so fit
@@ -889,8 +892,8 @@ def main(argv: list[str] | None = None) -> int:
             "tool_version": __version__,
         }
         _emit(doc, args.out)
-        for write, obj, path in side_files:
-            if path is not None:
+        for write, obj, flag in side_files:
+            if (path := _value(args, flag)) is not None:
                 with _writing(path):
                     write(obj, path)
         # the human summary goes to stdout only when the document went to a file

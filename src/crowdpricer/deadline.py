@@ -66,9 +66,9 @@ SCHEMA_VERSION = 1
 class DeadlineProblem:
     """A batch of n_tasks to finish within n_intervals intervals.
 
-    penalty is the terminal cost per unfinished task (cents).  When
-    existence_alpha > 0 the terminal cost becomes (n + alpha) * penalty for
-    n > 0, charging an extra fixed cost for finishing incomplete at all.
+    penalty is the terminal cost per unfinished task (cents).  The terminal
+    cost is (n + existence_alpha) * penalty for n > 0: alpha charges an extra
+    fixed cost for finishing incomplete at all, and alpha = 0 adds exactly 0.
     epsilon is the transition truncation level; 0 disables truncation.
     penalty=None resolves to the default 10 * grid.max_price.
     """
@@ -131,11 +131,7 @@ class DeadlineProblem:
         return np.diff(self.profile._cumulative(edges))
 
     def terminal_cost(self, n: int) -> float:
-        if n == 0:
-            return 0.0
-        if self.existence_alpha > 0:
-            return (n + self.existence_alpha) * self.penalty
-        return n * self.penalty
+        return 0.0 if n == 0 else (n + self.existence_alpha) * self.penalty
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,10 @@ def solve_efficient(problem: DeadlineProblem) -> DeadlinePolicy:
 class PolicyEvaluation:
     expected_cost: float  # reward spend only, penalties excluded
     expected_remaining: float
-    pr_any_remaining: float
+    pr_any_remaining: float  # at most 1, though a sum of the masses can round past it
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pr_any_remaining", min(self.pr_any_remaining, 1.0))
 
 
 def _check_shape(problem: DeadlineProblem, policy: DeadlinePolicy) -> None:

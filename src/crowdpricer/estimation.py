@@ -157,7 +157,8 @@ def fit_periodic_profile(
     """Bucket-wise mean of the inputs folded onto a period.
 
     Each profile is folded individually (slot i averages its entries at
-    indices congruent to i), then slots are averaged across profiles.
+    indices congruent to i, added in index order by `np.bincount`), then
+    slots are averaged across profiles.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -175,12 +176,8 @@ def fit_periodic_profile(
                 f"profile with {len(prof.rates)} buckets is shorter than the "
                 f"period ({period_buckets})"
             )
-        sums = np.zeros(period_buckets)
-        hits = np.zeros(period_buckets)
-        for i, r in enumerate(prof.rates):
-            sums[i % period_buckets] += r
-            hits[i % period_buckets] += 1
-        folded.append(sums / hits)
+        slot = np.arange(len(prof.rates)) % period_buckets
+        folded.append(np.bincount(slot, prof.rates, period_buckets) / np.bincount(slot))
     return ArrivalProfile(bucket_seconds=bucket, rates=np.mean(folded, axis=0), periodic=True)
 
 

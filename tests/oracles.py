@@ -331,6 +331,21 @@ def cumulative_arrivals(rates, bucket_seconds: int, periodic: bool, t) -> float:
     return whole + prefix[k] + rates[k] * ((t - k * bucket_seconds) / bucket_seconds)
 
 
+def folded_rates(rate_lists, period: int) -> list[float]:
+    """The rates of fit_periodic_profile by the per-rate loop: slot i of
+    each list sums its entries at indices congruent to i, in index order,
+    and divides by their count; np.mean then averages the folded lists."""
+    folded = []
+    for rates in rate_lists:
+        sums = np.zeros(period)
+        hits = np.zeros(period)
+        for i, r in enumerate(rates):
+            sums[i % period] += r
+            hits[i % period] += 1
+        folded.append(sums / hits)
+    return np.mean(folded, axis=0).tolist()
+
+
 def interval_arrivals(problem) -> list[float]:
     """Expected arrivals per interval of a DeadlineProblem, one window at a
     time, the end of each window evaluated first."""

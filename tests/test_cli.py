@@ -27,7 +27,7 @@ import crowdpricer.estimation as estimation
 import crowdpricer.jsonstream as jsonstream
 import crowdpricer.market as market
 import crowdpricer.simulate as simulate
-from conftest import cli_env
+from conftest import REPO_ROOT, cli_env
 
 HELP_DIR = Path(__file__).parent / "data" / "help"
 
@@ -433,6 +433,35 @@ class TestBaseline:
         ev = simulate.evaluate_policy_exact(problem, policy)
         assert doc["comparison"]["dynamic_expected_cost_cents"] == pytest.approx(
             ev.expected_cost, rel=1e-12)
+
+
+class TestProbabilityRange:
+    """Reported probabilities lie in [0, 1], also where the evaluators' sum
+    of the masses left below N rounds to 1.0000000000000002."""
+
+    ARRIVALS = ["--arrival-csv", str(REPO_ROOT / "data" / "arrival_weekly.csv"), "--periodic"]
+
+    def test_every_price_meets_a_zero_confidence(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["baseline", "--tasks", "20", "--deadline-hours", "6", "--intervals", "12",
+                *self.ARRIVALS, "--acceptance", "20,5,100000", "--max-price", "20",
+                "--confidence", "0", "--out", "base.json"]
+        assert cli.main(argv) == 0
+        base = load(tmp_path, "base.json")["baseline"]
+        assert base["price_cents"] == 0
+        assert base["completion_probability"] == 0.0
+
+    def test_solve_deadline_completion_probability(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["solve-deadline", "--tasks", "20", "--deadline-hours", "2", "--intervals", "6",
+                *self.ARRIVALS, "--acceptance", "10,3,50000", "--max-price", "5",
+                "--out", "pol.json"]
+        assert cli.main(argv) == 0
+        assert load(tmp_path, "pol.json")["summary"]["completion_probability"] == 0.0
+
+    def test_evaluation_caps_pr_any_remaining_at_one(self):
+        ev = deadline.PolicyEvaluation(0.0, 20.0, 1.0000000000000002)
+        assert ev.pr_any_remaining == 1.0
 
 
 class TestFlagDomains:
@@ -924,6 +953,30 @@ _matrices = st.one_of(
 _members = st.lists(st.tuples(
     st.sampled_from(["price", "opt", "problem"]) | st.text(max_size=4),
     _matrices | st.lists(st.floats(), max_size=4) | _values), max_size=4)
+
+
+class TestOutputPaths:
+    """An output flag that names the same file as an input or as another
+    output exits 2 naming both flags, before anything is written."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["simulate", "--policy", "pol.json", "--trials", "3", "--csv", "pol.json",
+          "--out", "rep.json"], ("--csv", "--policy")),
+        (["simulate", "--policy", "pol.json", "--trials", "3", "--csv", "rep.json",
+          "--out", "./rep.json"], ("--out", "--csv")),
+        (["fit", "arrival", "--csv", "arr.csv", "--csv-out", "arr.csv"], ("--csv-out", "--csv")),
+    ], ids=["csv-over-policy", "csv-and-out", "csv-out-over-csv"])
+    def test_exits_2_naming_both_flags(self, ws, tmp_path, monkeypatch, capsys, argv, flags):
+        for name in ("pol.json", "arr.csv"):  # copies, so a failure clobbers no shared input
+            (tmp_path / name).write_bytes((ws / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert f"error: {flags[0]} and {flags[1]} name the same file" in err
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 class TestReader:

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crowdpricer import deadline, market
@@ -244,6 +246,109 @@ class TestSolveEfficient:
         b = solve_efficient(prob)
         assert np.array_equal(a.price, b.price)
         np.testing.assert_allclose(a.opt, b.opt, rtol=0, atol=1e-9)
+
+
+# Edges of the valid domain: zero and subnormal rates, tied and subnormal
+# tabulated probabilities, logistic models with extreme biases, truncation
+# levels from 0 to just below 1, and penalties up to 1e300.
+_EDGE_RATES = [0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.3, 5.0, 200.0, 3000.0]
+_EDGE_PROBABILITIES = [1e-320, 1e-12, 0.1, 0.5, 1.0]
+_EDGE_EPSILONS = [0.0, 1e-314, 1e-12, 1e-9, 0.5, 1 - 1e-7]
+
+
+@st.composite
+def edge_problems(draw, epsilons=st.sampled_from(_EDGE_EPSILONS)):
+    """A valid DeadlineProblem with N and T down to 1 and existence_alpha
+    drawn from {0, 0.5, 3}."""
+    n_prices = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        probs = draw(st.lists(st.sampled_from(_EDGE_PROBABILITIES),
+                              min_size=n_prices, max_size=n_prices))
+        model = TabulatedAcceptance(dict(enumerate(sorted(probs))))
+    else:
+        model = LogisticAcceptance(
+            scale_s=draw(st.sampled_from([0.5, 3.0, 30.0])),
+            bias_b=draw(st.sampled_from([-40.0, -3.0, 0.0, 3.0, 40.0])),
+            market_mass_m=draw(st.sampled_from([0.0, 1e-6, 1.0, 2000.0, 1e12])))
+    horizon = draw(st.integers(1, 5))
+    rates = draw(st.lists(st.sampled_from(_EDGE_RATES), min_size=horizon, max_size=horizon))
+    with warnings.catch_warnings():  # a penalty below the top price is valid
+        warnings.simplefilter("ignore", UserWarning)
+        return DeadlineProblem(
+            n_tasks=draw(st.integers(1, 24)), n_intervals=horizon, interval_seconds=600,
+            profile=ArrivalProfile(600, tuple(rates)), model=model,
+            grid=PriceGrid(0, n_prices - 1),
+            penalty=draw(st.sampled_from([0.0, 1.0, 50.0, 1e6, 1e250, 1e300])),
+            existence_alpha=draw(st.sampled_from([0.0, 0.5, 3.0])),
+            epsilon=draw(epsilons))
+
+
+class TestExactnessProperty:
+    """The fast solver and the evaluator agree with the references on the
+    edges of the valid domain, not only on typical draws."""
+
+    @settings(max_examples=600)
+    @given(problem=edge_problems())
+    def test_efficient_equals_simple_bit_for_bit(self, problem):
+        a, b = solve_simple(problem), solve_efficient(problem)
+        assert a.price.tobytes() == b.price.tobytes()
+        assert a.opt.tobytes() == b.opt.tobytes()
+
+    @settings(max_examples=300)
+    @given(problem=edge_problems(epsilons=st.just(0.0)))
+    def test_opt_is_the_exact_cost_at_epsilon_zero(self, problem):
+        policy = solve_efficient(problem)
+        ev = evaluate_policy_exact(problem, policy)
+        assert 0.0 <= ev.pr_any_remaining <= 1.0
+        exact = ev.expected_cost + problem.penalty * (
+            ev.expected_remaining + problem.existence_alpha * ev.pr_any_remaining)
+        assert policy.opt[problem.n_tasks, 0] == pytest.approx(exact, rel=1e-9)
+
+    @settings(max_examples=200)
+    @given(problem=edge_problems())
+    def test_evaluation_matches_the_scalar_forward_pass(self, problem):
+        policy = solve_efficient(problem)
+        ev = evaluate_policy_exact(problem, policy)
+        want = oracles.brute_policy_evaluation(
+            problem.n_tasks, problem.interval_rates().tolist(),
+            lambda n, t: int(policy.price[n, t]), problem.model.probability)
+        got = (ev.expected_cost, ev.expected_remaining, ev.pr_any_remaining)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=200)
+    @given(problem=edge_problems(epsilons=st.sampled_from(_EDGE_EPSILONS[1:])))
+    def test_truncation_underestimates_within_its_bound(self, problem):
+        """Est <= Opt <= Cost: the truncated optimum, the exact optimum, and
+        the exact cost of the truncated solve's policy; Cost - Est is at most
+        epsilon * T * (N * max_price + terminal_cost(N))."""
+        n, policy = problem.n_tasks, solve_efficient(problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            exact_problem = dataclasses.replace(problem, epsilon=0.0)
+        est, opt = policy.opt[n, 0], solve_efficient(exact_problem).opt[n, 0]
+        ev = evaluate_policy_exact(problem, policy)
+        cost = ev.expected_cost + problem.penalty * (
+            ev.expected_remaining + problem.existence_alpha * ev.pr_any_remaining)
+        bound = problem.epsilon * problem.n_intervals * (
+            n * problem.grid.max_price + problem.terminal_cost(n))
+        assert est <= opt * (1 + 1e-9) + 1e-12
+        assert opt <= cost * (1 + 1e-9) + 1e-12
+        assert cost - est <= bound + 1e-9 * cost + 1e-12
+
+    @settings(max_examples=200)
+    @given(problem=edge_problems())
+    def test_each_state_posts_the_lowest_price_that_ties_the_minimum(self, problem):
+        policy = solve_simple(problem)
+        prices = np.array(problem.grid.prices())
+        accept = np.array([problem.model.probability(int(c)) for c in prices])
+        for t, rate in enumerate(problem.interval_rates()):
+            pmf, _, caps, spend = market._transition_tables(
+                rate * accept, problem.n_tasks, problem.epsilon)
+            costs = deadline._loop_costs(
+                pmf, caps, spend * prices[:, None], policy.opt[:, t + 1])
+            best = costs.min(axis=0)
+            ties = costs <= best + 1e-12 * np.maximum(1.0, np.abs(best))
+            assert np.array_equal(policy.price[1:, t], prices[ties.argmax(axis=0)])
 
 
 class TestPostedCosts:

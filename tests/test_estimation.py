@@ -143,6 +143,16 @@ class TestFitPeriodicProfile:
         for x, y in zip(a.rates, b.rates):
             assert y == pytest.approx(2.5 * x, rel=1e-12)
 
+    @pytest.mark.parametrize("period", [1, 3, 7, 72, 199, 504])
+    def test_bit_for_bit_the_per_rate_loop(self, weekly_profile, period):
+        # rates over 1e-300..1e300, so any other order of addition shows
+        rng = np.random.default_rng(period)
+        wide = ArrivalProfile(1200, tuple(np.exp(rng.uniform(-690.0, 690.0, 1009)).tolist()))
+        for profiles in ([weekly_profile], [weekly_profile, wide], [wide]):
+            got = fit_periodic_profile(profiles, period_buckets=period).rates
+            want = oracles.folded_rates([p.rates for p in profiles], period)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_periodic_profile([], period_buckets=2)
