@@ -25,8 +25,8 @@ cost does not depend on the run split.
 
 Transition tails are truncated at the smallest s0 with
 Pr(Pois >= s0) < epsilon; the dropped mass is never renormalized, which
-under-estimates cost by at most epsilon * n * (horizon) * max_price
-(the truncation bound tested in the acceptance suite).
+under-estimates cost by at most epsilon * T * (N * max_price +
+terminal_cost(N)) (the truncation bound tested in the acceptance suite).
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .market import (
     ArrivalProfile,
     PriceGrid,
     _check_fields,
+    _lowest_tie,
     _require_coverage,
     _require_int,
     _require_real,
     _table_floor,
-    _TIE_REL,
     _transition_tables,
     grid_from_dict,
     grid_to_dict,
@@ -220,12 +220,12 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
     """Backward induction over time slices.
 
     slice_costs gives every grid price's cost at every state n >= 1; each
-    state posts the lowest price whose cost ties the minimum (1e-12
-    relative).  One pass that both solvers share then computes the posted
-    costs, so they write the same opt bits for the same prices: the states
-    n in [lo, hi) that post row j form a run, whose costs are one
-    convolution of opt_next[start:hi], start = max(0, lo - cap_j + 1),
-    with the pmf head.
+    state posts the lowest price whose cost ties the minimum
+    (``market._lowest_tie``).  One pass that both solvers share then
+    computes the posted costs, so they write the same opt bits for the same
+    prices: the states n in [lo, hi) that post row j form a run, whose
+    costs are one convolution of opt_next[start:hi],
+    start = max(0, lo - cap_j + 1), with the pmf head.
     """
     n_max, horizon = problem.n_tasks, problem.n_intervals
     prices = np.array(problem.grid.prices(), dtype=np.int64)
@@ -239,8 +239,7 @@ def _backward_induction(problem: DeadlineProblem, slice_costs) -> DeadlinePolicy
         spend *= prices[:, None]
         opt_next = opt[:, t + 1]
         costs = slice_costs(pmf, caps, spend, opt_next)
-        best = costs.min(axis=0)
-        choice = np.argmax(costs <= best + _TIE_REL * np.maximum(1.0, np.abs(best)), axis=0)
+        choice = _lowest_tie(costs)
         price[1:, t] = prices[choice]
         for lo, hi in _runs(choice):
             j = choice[lo - 1]

@@ -265,6 +265,13 @@ def _require_coverage(model: AcceptanceModel, grid: PriceGrid) -> None:
 _TIE_REL = 1e-12
 
 
+def _lowest_tie(costs: np.ndarray) -> np.ndarray:
+    """Per column, the lowest row whose cost is within _TIE_REL of the
+    column's minimum (one row for a 1-D array)."""
+    best = costs.min(axis=0)
+    return np.argmax(costs <= best + _TIE_REL * np.maximum(1.0, np.abs(best)), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Poisson machinery.
 #

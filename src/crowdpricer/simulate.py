@@ -309,27 +309,18 @@ def baseline_fixed_price(
     problem: DeadlineProblem, confidence: float
 ) -> tuple[int, float]:
     """Smallest grid price whose exact completion probability meets
-    `confidence`.  Monotone in price, so bisection over the grid."""
+    `confidence`.  The computed probability can fall by an ulp from one
+    price to the next, so the grid is scanned upward, not bisected."""
     if not (0.0 <= confidence < 1.0):
         raise DomainError("confidence must be in [0, 1)")
-    prices = list(problem.grid.prices())
-    pr_hi = completion_probability_fixed(problem, prices[-1])
-    if pr_hi < confidence:
-        raise InfeasibleError(
-            f"deadline infeasible at max price: completion probability "
-            f"{pr_hi:.6g} < {confidence} at {prices[-1]}"
-        )
-    pr_lo = completion_probability_fixed(problem, prices[0])
-    if pr_lo >= confidence:
-        return prices[0], pr_lo
-    lo, hi = 0, len(prices) - 1  # pr(lo) < confidence <= pr(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if completion_probability_fixed(problem, prices[mid]) >= confidence:
-            hi = mid
-        else:
-            lo = mid
-    return prices[hi], completion_probability_fixed(problem, prices[hi])
+    for price in problem.grid.prices():
+        pr = completion_probability_fixed(problem, price)
+        if pr >= confidence:
+            return price, pr
+    raise InfeasibleError(
+        f"deadline infeasible at max price: completion probability "
+        f"{pr:.6g} < {confidence} at {price}"
+    )
 
 
 def price_floor_c0(problem: DeadlineProblem) -> float | None:
@@ -368,7 +359,8 @@ def price_floor_c0(problem: DeadlineProblem) -> float | None:
 def cost_reduction(fixed_cost: float, dynamic_cost: float) -> float:
     """Relative saving (fixed - dynamic) / fixed."""
     if fixed_cost <= 0:
-        raise ValueError("fixed_cost must be positive")
+        raise DomainError(
+            f"cost reduction is undefined against a fixed-price cost of {fixed_cost!r}")
     return (fixed_cost - dynamic_cost) / fixed_cost
 
 

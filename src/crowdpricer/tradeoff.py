@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
-from .market import AcceptanceModel, PriceGrid, _check_fields, _require_coverage, _TIE_REL
+from .market import AcceptanceModel, PriceGrid, _check_fields, _lowest_tie, _require_coverage
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,7 @@ def _step_costs(problem: TradeoffProblem) -> np.ndarray:
 
 def solve_tradeoff(problem: TradeoffProblem) -> TradeoffSolution:
     step = _step_costs(problem)
-    v = float(np.min(step))
-    thresh = v + _TIE_REL * max(1.0, abs(v))
-    best = int(np.argmax(step <= thresh))  # lowest price achieving the minimum
+    best = int(_lowest_tie(step))
     n_max = problem.n_tasks
     prices = np.full(n_max + 1, problem.grid.prices()[best], dtype=np.int64)
     prices[0] = problem.grid.min_price

@@ -434,6 +434,21 @@ class TestBaseline:
         assert doc["comparison"]["dynamic_expected_cost_cents"] == pytest.approx(
             ev.expected_cost, rel=1e-12)
 
+    def test_comparison_against_a_zero_fixed_cost_exits_3(self, tmp_path, monkeypatch, capsys):
+        # confidence 0 picks price 0, whose expected cost is 0: no cost reduction exists
+        monkeypatch.chdir(tmp_path)
+        flags = ["--tasks", "20", "--deadline-hours", "2", "--intervals", "6",
+                 "--arrival-csv", str(REPO_ROOT / "data" / "arrival_weekly.csv"), "--periodic",
+                 "--acceptance", "15,-0.39,2000", "--max-price", "50"]
+        assert cli.main(["solve-deadline", *flags, "--out", "p.json"]) == 0
+        capsys.readouterr()
+        argv = ["baseline", *flags, "--confidence", "0", "--compare-policy", "p.json",
+                "--out", "base.json"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cost reduction is undefined against a fixed-price cost of 0.0"]
+        assert not (tmp_path / "base.json").exists()
+
 
 class TestProbabilityRange:
     """Reported probabilities lie in [0, 1], also where the evaluators' sum

@@ -354,9 +354,18 @@ class TestBaselineFixedPrice:
         price, achieved = baseline_fixed_price(prob, conf)
         assert achieved >= conf
         assert achieved == completion_probability_fixed(prob, price)
-        if price > prob.grid.min_price:
-            below = completion_probability_fixed(prob, price - prob.grid.step)
-            assert below < conf
+        below = [completion_probability_fixed(prob, c) for c in prob.grid.prices() if c < price]
+        assert all(pr < conf for pr in below), below
+
+    @pytest.mark.parametrize("seed, confidence, want", [
+        (25, 2.220446049250313e-16, 1), (279, 1.1102230246251565e-16, 2)])
+    def test_probability_that_falls_by_an_ulp(self, seed, confidence, want):
+        # the computed probability is not monotone in price: on seed 25 it
+        # reads 2.2e-16 at price 1 and 1.1e-16 at price 2, and on seed 279
+        # 1.1e-16 at price 2 and 0 at the max price
+        prob = oracles.random_deadline_instance(np.random.default_rng(seed), 25, 6, 10)[0]
+        got = baseline_fixed_price(prob, confidence)
+        assert got == (want, completion_probability_fixed(prob, want))
 
     def test_unreachable_confidence(self):
         prob = toy_problem(profile=ArrivalProfile(600, (0.01, 0.01, 0.01)))
@@ -431,6 +440,24 @@ def test_closed_form_matches_forward_evaluation(problem):
         for field in ("expected_cost", "expected_remaining", "pr_any_remaining"):
             got, want = getattr(closed, field), getattr(forward, field)
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (price, field, got, want)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(fixed_price_problems(), st.data())
+def test_baseline_is_the_smallest_price_that_meets_the_confidence(problem, data):
+    """Confidences are drawn from the problem's own computed probabilities and
+    the next float above each, where the probability can fall by an ulp from
+    one price to the next; InfeasibleError only when no grid price meets one."""
+    prices = list(problem.grid.prices())
+    prs = [completion_probability_fixed(problem, c) for c in prices]
+    confidences = {x for pr in prs for x in (pr, math.nextafter(pr, 1.0)) if x < 1.0}
+    confidence = data.draw(st.sampled_from(sorted(confidences | {0.0})))
+    meets = [(c, pr) for c, pr in zip(prices, prs) if pr >= confidence]
+    if meets:
+        assert baseline_fixed_price(problem, confidence) == meets[0]
+    else:
+        with pytest.raises(InfeasibleError):
+            baseline_fixed_price(problem, confidence)
 
 
 class TestPriceFloor:
