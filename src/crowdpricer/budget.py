@@ -182,7 +182,9 @@ def solve_static_exact(problem: BudgetProblem) -> StaticAllocation:
 
     dp[i][b] = minimal expected arrivals for i tasks spending at most b.
     Ties prefer lower prices.  Work is n_tasks * (budget+1) * usable_prices
-    cell updates, capped at EXACT_WORK_CAP.
+    cell updates, capped at EXACT_WORK_CAP.  Each cell's parent is stored as
+    an index into the usable prices, in the smallest unsigned dtype that
+    holds them (one byte per cell up to 256 usable prices).
     """
     n, budget = problem.n_tasks, problem.budget
     usable = _usable_prices(problem)
@@ -193,20 +195,19 @@ def solve_static_exact(problem: BudgetProblem) -> StaticAllocation:
             f"exceed the {EXACT_WORK_CAP:.0e} cap"
         )
     dp = np.zeros(budget + 1)
-    parents = np.zeros((n + 1, budget + 1), dtype=np.int32)
+    # only cells with a finite dp are backtracked, and each has its parent set
+    parents = np.zeros((n + 1, budget + 1), dtype=np.min_scalar_type(len(usable) - 1))
     for i in range(1, n + 1):
         new = np.full(budget + 1, np.inf)
-        par = np.full(budget + 1, -1, dtype=np.int32)
-        for c, w in usable:  # ascending price; strict < keeps the lowest tie
+        for k, (c, w) in enumerate(usable):  # ascending price; strict < keeps the lowest tie
             if c > budget:
                 break
             cand = dp[: budget + 1 - c] + w
             view = new[c:]
             better = cand < view
             view[better] = cand[better]
-            par[c:][better] = c
+            parents[i, c:][better] = k
         dp = new
-        parents[i] = par
     if not np.isfinite(dp[budget]):
         raise InfeasibleError(
             f"budget below minimum: cannot price {n} tasks within {budget}"
@@ -214,7 +215,7 @@ def solve_static_exact(problem: BudgetProblem) -> StaticAllocation:
     counts: dict[int, int] = {}
     b = budget
     for i in range(n, 0, -1):
-        c = int(parents[i][b])
+        c = usable[parents[i, b]][0]
         counts[c] = counts.get(c, 0) + 1
         b -= c
     return _finish(problem, counts)

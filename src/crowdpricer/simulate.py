@@ -35,6 +35,8 @@ from .market import (
     ArrivalProfile,
     TabulatedAcceptance,
     _check_fields,
+    _require_int,
+    _require_real,
     poisson_tables,
 )
 
@@ -94,7 +96,9 @@ class SimulationReport:
     """Per-trial columns in trial order: ``cost`` in cents and ``remaining``
     tasks (int64), ``completion`` seconds (NaN where the trial never
     finished), and ``workers``, the arrivals observed (None unless the
-    budget simulator ran)."""
+    budget simulator ran).  A column that holds one value for every trial
+    may be a read-only broadcast view (``np.broadcast_to``), as ``cost``
+    and ``remaining`` are after a budget run on a periodic profile."""
 
     strategy_descriptor: str
     config: SimulationConfig
@@ -178,14 +182,14 @@ def simulate_deadline(
     rates = problem.interval_rates()
     n_max = problem.n_tasks
     if isinstance(strategy, FixedPrice):
-        price_of = np.full((n_max + 1, len(rates)), strategy.price, dtype=np.int64)
+        prices = np.array([strategy.price])
+        price_index = np.broadcast_to(np.intp(0), (n_max + 1, len(rates)))
         descriptor = f"fixed-price:{strategy.price}"
     else:
         _check_shape(problem, strategy)
-        price_of = strategy.price
+        prices, price_index = np.unique(strategy.price, return_inverse=True)
+        price_index = price_index.reshape(strategy.price.shape)
         descriptor = f"policy:{strategy.problem_digest[:12]}"
-    prices, price_index = np.unique(price_of, return_inverse=True)
-    price_index = price_index.reshape(price_of.shape)
     accept = np.array([problem.model.probability(int(c)) for c in prices])
 
     cost = np.zeros(config.trials, dtype=np.int64)
@@ -239,8 +243,12 @@ def simulate_budget(
     paid = np.concatenate(([0], np.cumsum(prices_desc)))  # cost of the first j tasks
 
     n_tasks = len(prices_desc)
-    cost = np.full(config.trials, paid[-1], dtype=np.int64)
-    remaining = np.zeros(config.trials, dtype=np.int64)
+    if profile.periodic:  # every trial finishes and pays for every task
+        cost = np.broadcast_to(paid[-1], config.trials)
+        remaining = np.broadcast_to(np.int64(0), config.trials)
+    else:  # short trials overwrite their entries
+        cost = np.full(config.trials, paid[-1], dtype=np.int64)
+        remaining = np.zeros(config.trials, dtype=np.int64)
     completion = np.full(config.trials, np.nan)
     workers = np.empty(config.trials, dtype=np.int64)
     for rng, lo, hi in _blocks(config, max(1, min(_BLOCK, _BLOCK_CELLS // n_tasks))):
@@ -382,15 +390,26 @@ def simulate_choice_model(
     U[0,1]; our task's mean utility is reward_slope * price - 1.  Each trial
     draws every task's utility and our task wins if it is the strict maximum.
     """
+    market_size = _require_int("market_size", market_size)
+    reward_slope = _require_real("reward_slope", reward_slope)
+    trials = _require_int("trials", trials)
+    prices = [_require_int("price", c) for c in prices]
+    seed = _require_int("seed", seed)
     if market_size < 2:
-        raise ValueError("market_size must be >= 2")
+        raise DomainError("market_size must be >= 2")
+    if not math.isfinite(reward_slope):
+        raise DomainError(f"reward_slope must be finite, got {reward_slope}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise DomainError("trials must be >= 1")
+    if any(c < 0 for c in prices):
+        raise DomainError(f"prices must be >= 0, got {min(prices)}")
+    if not (0 <= seed < 2**63):
+        raise DomainError("seed must be in [0, 2**63)")
     rng = _rng(seed, 0)
     mu_others = rng.standard_normal(market_size - 1)
     sigma = rng.random(market_size)  # index 0 is our task
     out = []
-    chunk = max(1, min(trials, 10**6 // max(market_size, 1)))
+    chunk = max(1, min(trials, 10**6 // market_size))
     for price in prices:
         mu_ours = reward_slope * price - 1.0
         wins = 0
@@ -402,7 +421,7 @@ def simulate_choice_model(
             best_other = np.max(mu_others + sigma[1:] * z[:, 1:], axis=1)
             wins += int(np.sum(ours > best_other))
             left -= m
-        out.append((int(price), wins / trials))
+        out.append((price, wins / trials))
     return out
 
 

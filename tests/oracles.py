@@ -240,6 +240,39 @@ def brute_budget_exact(
     return best
 
 
+def budget_dp_price_parents(
+    n_tasks: int,
+    budget: int,
+    usable: list[tuple[int, float]],
+) -> dict[int, int] | None:
+    """The exact budget DP with each parent stored as its price in an int32
+    matrix (-1 where unset): the same ascending-price scan and strict <
+    tie rule as the package, for checking its parent storage.  `usable` is
+    (price, 1/p) in ascending price.  Returns {price: count}, or None when
+    no allocation fits the budget."""
+    dp = np.zeros(budget + 1)
+    parents = np.full((n_tasks + 1, budget + 1), -1, dtype=np.int32)
+    for i in range(1, n_tasks + 1):
+        new = np.full(budget + 1, np.inf)
+        for c, w in usable:
+            if c > budget:
+                break
+            cand = dp[: budget + 1 - c] + w
+            better = cand < new[c:]
+            new[c:][better] = cand[better]
+            parents[i, c:][better] = c
+        dp = new
+    if not np.isfinite(dp[budget]):
+        return None
+    counts: dict[int, int] = {}
+    b = budget
+    for i in range(n_tasks, 0, -1):
+        c = int(parents[i, b])
+        counts[c] = counts.get(c, 0) + 1
+        b -= c
+    return counts
+
+
 def brute_lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Lower convex hull vertices by the straddling-chord test (O(n^3)).
 

@@ -1,6 +1,7 @@
 """Static budget allocation: hull pruning, LP rounding, exact search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crowdpricer import (
     solve_static_exact,
     solve_static_lp,
 )
+from crowdpricer.budget import _usable_prices
 from crowdpricer.errors import DomainError
 
 
@@ -180,6 +182,57 @@ class TestSolveStaticExact:
         shuffled = ((9, 1), (5, 3), (12, 2))
         assert expected_worker_arrivals(entries, model) == pytest.approx(
             expected_worker_arrivals(shuffled, model), rel=1e-15)
+
+
+class TestExactParentIndex:
+    """solve_static_exact stores each parent as an index into the usable
+    prices, in the smallest dtype that holds them; the reference stores the
+    price itself in int32.  Both must give the same allocation, ties and
+    all, on grids whose prices pass 255 and 65,535, on grids with more than
+    256 usable prices, and with dead prices at the bottom of the table."""
+
+    LEVELS = (1e-13, 1e-13, 0.05, 0.2, 0.2, 0.5, 0.5, 0.9, 1.0)  # dead prices and ties
+
+    @pytest.mark.parametrize("grid", [
+        PriceGrid(0, 12), PriceGrid(3, 60), PriceGrid(5, 95, 5), PriceGrid(240, 270),
+        PriceGrid(0, 299), PriceGrid(65_500, 65_560, 4), PriceGrid(65_530, 65_540),
+    ], ids=str)
+    def test_same_allocation_as_price_parents(self, grid):
+        rng = np.random.default_rng(grid.max_price)
+        prices = list(grid.prices())
+        for case in range(12):
+            if case % 2:  # distinct probabilities, no ties
+                probs = np.sort(rng.uniform(0.02, 0.95, len(prices)))
+            else:
+                probs = np.sort(rng.choice(self.LEVELS, len(prices)))
+                probs[-1] = 1.0
+            model = TabulatedAcceptance(dict(zip(prices, probs.tolist())))
+            n = int(rng.integers(1, 6))
+            budget = [n * grid.max_price, n * grid.min_price,
+                      int(rng.integers(n * grid.min_price, n * grid.max_price + 10))][case % 3]
+            prob = BudgetProblem(n_tasks=n, budget=budget, model=model, grid=grid,
+                                 mean_rate=50.0)
+            want = oracles.budget_dp_price_parents(n, budget, _usable_prices(prob))
+            if want is None:
+                with pytest.raises(InfeasibleError, match="cannot price"):
+                    solve_static_exact(prob)
+            else:
+                assert solve_static_exact(prob).entries == tuple(sorted(want.items()))
+
+    def test_parents_take_one_byte_per_cell_at_one_usable_price(self):
+        n, budget = 100, 99_999
+        prob = BudgetProblem(n_tasks=n, budget=budget, model=TabulatedAcceptance({999: 0.5}),
+                             grid=PriceGrid(999, 999), mean_rate=50.0)
+        solve_static_exact(prob)  # warm numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            alloc = solve_static_exact(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alloc.entries == ((999, n),)
+        # the parent matrix plus a few float64 rows of the DP
+        assert peak <= (n + 1) * (budget + 1) + 6 * (budget + 1) * 8, peak
 
 
 class TestExpectedWorkerArrivals:

@@ -279,6 +279,21 @@ class TestSimulateBudget:
         want_seconds = want * 3600 / 0.0001
         assert abs(ag.mean_completion_seconds - want_seconds) <= 3 * ag.se_completion_seconds
 
+    def test_periodic_cost_and_remaining_are_read_only_constants(self):
+        # every periodic trial finishes, so both columns hold one value
+        model = TabulatedAcceptance({5: 0.5, 9: 0.7})
+        profile = ArrivalProfile(200, (1.5, 0.0, 2.5), periodic=True)
+        rep = simulate_budget(((5, 2), (9, 3)), profile, model,
+                              SimulationConfig(trials=3000, seed=33))
+        assert rep.cost.dtype == rep.remaining.dtype == np.int64
+        assert rep.cost.shape == rep.remaining.shape == (3000,)
+        assert np.all(rep.cost == 2 * 5 + 3 * 9) and np.all(rep.remaining == 0)
+        for column in (rep.cost, rep.remaining):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert not np.isnan(rep.completion).any()
+
     def test_unsimulable_inputs_rejected(self):
         model = TabulatedAcceptance({1: 1e-13, 2: 0.5})
         with pytest.raises(DataError):  # a periodic profile with no arrivals
@@ -570,6 +585,37 @@ class TestChoiceModel:
             simulate_choice_model(
                 market_size=2, reward_slope=0.02, trials=0, prices=[1], seed=0)
 
+    GOOD = dict(market_size=3, reward_slope=0.02, trials=10, prices=[1, 2], seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("reward_slope", math.nan, "reward_slope must be finite"),
+        ("reward_slope", math.inf, "reward_slope must be finite"),
+        ("reward_slope", "0.02", "reward_slope must be a number"),
+        ("prices", [1.7], "price must be an integer"),
+        ("prices", [2.0], "price must be an integer"),
+        ("prices", [1, -3], "prices must be >= 0"),
+        ("trials", True, "trials must be an integer"),
+        ("trials", 10.0, "trials must be an integer"),
+        ("market_size", 10.5, "market_size must be an integer"),
+        ("market_size", 1, "market_size must be >= 2"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, r"seed must be in \[0, 2\*\*63\)"),
+    ], ids=["nan-slope", "inf-slope", "string-slope", "fractional-price",
+            "float-price", "negative-price", "bool-trials", "float-trials",
+            "fractional-market-size", "market-of-one", "fractional-seed",
+            "negative-seed"])
+    def test_bad_argument_raises_domain_error(self, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            simulate_choice_model(**{**self.GOOD, field: value})
+
+    def test_numpy_integers_are_reported_as_python_ints(self):
+        out = simulate_choice_model(
+            market_size=np.int64(3), reward_slope=np.float32(0.5), trials=np.int32(10),
+            prices=np.arange(2), seed=np.uint8(0))
+        assert [type(c) for c, _ in out] == [int, int]
+        assert out == simulate_choice_model(
+            market_size=3, reward_slope=0.5, trials=10, prices=[0, 1], seed=0)
+
 
 class TestReportOutput:
     def test_json_document_shape(self):
@@ -684,22 +730,45 @@ class TestColumnsMemory:
     TRIALS, TASKS = 50000, 50
     COLUMN = TRIALS * 8  # bytes in one int64 or float64 column
 
-    def budget_report(self):
+    def budget_report(self, periodic=True):
         model = TabulatedAcceptance({12: 0.4})
-        profile = ArrivalProfile(1200, tuple(1000.0 + 50 * (i % 9) for i in range(72)),
-                                 periodic=True)
+        # 125 quota draws are needed on average; the non-periodic profile
+        # brings about 140 arrivals, so about a fifth of its trials are short
+        base, swing = (1000.0, 50) if periodic else (1.75, 0.05)
+        profile = ArrivalProfile(1200, tuple(base + swing * (i % 9) for i in range(72)),
+                                 periodic=periodic)
         return simulate_budget(((12, self.TASKS),), profile, model,
                                SimulationConfig(trials=self.TRIALS, seed=5))
 
-    def test_budget_simulation_and_report_hold_two_columns_beyond_the_result(self):
-        self.budget_report()  # warm numpy's and the package's lazy set-up
+    def traced_peak(self, run):
+        run()  # warm numpy's and the package's lazy set-up
         tracemalloc.start()
         try:
-            report_to_dict(self.budget_report())
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_budget_simulation_and_report_hold_two_columns_beyond_the_result(self):
+        # periodic: cost and remaining are broadcasts, so two stored columns
+        peak = self.traced_peak(lambda: report_to_dict(self.budget_report()))
+        assert peak <= (2 + 2) * self.COLUMN, peak
+
+    def test_non_periodic_budget_simulation_holds_four_columns_and_two_more(self):
+        def run():
+            rep = self.budget_report(periodic=False)
+            assert 0 < np.count_nonzero(rep.remaining) < self.TRIALS
+            report_to_dict(rep)
+        peak = self.traced_peak(run)
         assert peak <= (4 + 2) * self.COLUMN, peak
+
+    def test_fixed_price_simulation_holds_no_state_by_interval_matrix(self):
+        n, t = 2000, 144
+        prob = toy_problem(n_tasks=n, n_intervals=t,
+                           profile=ArrivalProfile(600, tuple(5.0 + i % 7 for i in range(t))))
+        config = SimulationConfig(trials=1000, seed=1)
+        peak = self.traced_peak(lambda: simulate_deadline(prob, FixedPrice(3), config))
+        assert peak < (n + 1) * t * 8, peak  # one int64 (N + 1) x T matrix
 
     def test_csv_is_written_block_by_block(self, tmp_path):
         rep = self.budget_report()
