@@ -56,7 +56,6 @@ from .market import (
     model_to_dict,
     profile_from_dict,
     profile_to_dict,
-    truncation_threshold,  # noqa: F401  (re-exported)
 )
 
 SCHEMA_VERSION = 1

@@ -279,12 +279,16 @@ def _lowest_tie(costs: np.ndarray) -> np.ndarray:
 # are exact summations, never normal approximations, because the truncation
 # thresholds below are contractual.
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
+
+
 def poisson_pmf(k: int, lam: float) -> float:
     """Pr(Pois(lam) = k), stable for large k and lam."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_lam(lam)
     if lam == 0:
         return 1.0 if k == 0 else 0.0
     if k == 0:
@@ -361,6 +365,7 @@ def poisson_pmf_vector(n: int, lam: float) -> np.ndarray:
 
 def poisson_tail(k: int, lam: float) -> float:
     """Pr(Pois(lam) >= k), by exact summation on the smaller side."""
+    _check_lam(lam)
     if k <= 0:
         return 1.0
     if lam == 0:
@@ -392,8 +397,7 @@ def truncation_threshold(lam: float, epsilon: float) -> int:
     epsilon) states, where the tail is already below epsilon."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_lam(lam)
     n_max = poisson_support_end(lam, epsilon)
     return int(_transition_tables(np.array([lam]), n_max, epsilon)[2][0])
 

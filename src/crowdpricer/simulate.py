@@ -25,10 +25,9 @@ from .deadline import (
     DeadlineProblem,
     PolicyEvaluation,
     _check_shape,
-    evaluate_policy_exact,  # noqa: F401  (re-exported)
     problem_digest,
 )
-from .budget import DEAD_PRICE_FLOOR, _allocation_entries
+from .budget import _allocation_entries, expected_worker_arrivals
 from .errors import DataError, DomainError, InfeasibleError
 from .market import (
     AcceptanceModel,
@@ -37,7 +36,7 @@ from .market import (
     _check_fields,
     _require_int,
     _require_real,
-    poisson_tables,
+    poisson_pmf_vector,
 )
 
 _BLOCK = 1024  # trials per block
@@ -65,9 +64,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _check_fields(self, trials=int, seed=int, parallel=bool)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise DomainError("trials must be >= 1")
         if not (0 <= self.seed < 2**63):
-            raise ValueError("seed must be in [0, 2**63)")
+            raise DomainError("seed must be in [0, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -228,15 +227,14 @@ def simulate_budget(
     Gamma(need, 1), wrapping around a periodic profile.  A non-periodic
     profile instead draws the Poisson count of all its arrivals: if it
     covers `need`, the finishing arrival is the Beta(need, count - need + 1)
-    order statistic of the profile's intensity; otherwise the trial is
-    partial (remaining > 0, no completion time, workers = count)."""
+    order statistic of the profile's intensity.  One count per block settles
+    every trial: it finishes the tasks whose quota sums its count covers, so
+    a short one is partial (remaining > 0, no completion, workers = count)."""
     entries = _allocation_entries(entries)
+    expected_worker_arrivals(entries, model)  # DataError on a dead price
     prices = [c for c, k in entries for _ in range(k)]
     prices_desc = np.array(sorted(prices, reverse=True), dtype=np.int64)
     probs_desc = np.array([model.probability(int(c)) for c in prices_desc])
-    if np.any(probs_desc < DEAD_PRICE_FLOOR):
-        dead = int(prices_desc[np.argmin(probs_desc)])
-        raise DataError(f"price effectively dead: p({dead}) < {DEAD_PRICE_FLOOR:g}")
     total = float(profile._prefix[-1])
     if profile.periodic and total <= 0.0:
         raise DataError("profile exhausted: periodic profile with zero total rate")
@@ -246,17 +244,17 @@ def simulate_budget(
     if profile.periodic:  # every trial finishes and pays for every task
         cost = np.broadcast_to(paid[-1], config.trials)
         remaining = np.broadcast_to(np.int64(0), config.trials)
-    else:  # short trials overwrite their entries
-        cost = np.full(config.trials, paid[-1], dtype=np.int64)
-        remaining = np.zeros(config.trials, dtype=np.int64)
+    else:
+        cost = np.empty(config.trials, dtype=np.int64)
+        remaining = np.empty(config.trials, dtype=np.int64)
     completion = np.full(config.trials, np.nan)
     workers = np.empty(config.trials, dtype=np.int64)
     for rng, lo, hi in _blocks(config, max(1, min(_BLOCK, _BLOCK_CELLS // n_tasks))):
         quota = rng.geometric(probs_desc, size=(hi - lo, n_tasks))
         np.cumsum(quota, axis=1, out=quota)  # in the draw buffer
         need = quota[:, -1]
-        workers[lo:hi] = need
         if profile.periodic:
+            workers[lo:hi] = need
             periods, r = np.divmod(rng.standard_gamma(need), total)
             completion[lo:hi] = periods * profile.span_seconds + profile._time_at(r)
         else:
@@ -264,15 +262,12 @@ def simulate_budget(
             ok = count >= need
             at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
             completion[lo:hi][ok] = profile._time_at(at)
-            short = ~ok
-            done = np.sum(quota[short] <= count[short, None], axis=1)
-            cost[lo:hi][short] = paid[done]
-            remaining[lo:hi][short] = n_tasks - done
-            workers[lo:hi][short] = count[short]
+            done = np.count_nonzero(quota <= count[:, None], axis=1)
+            cost[lo:hi] = paid[done]
+            remaining[lo:hi] = n_tasks - done
+            workers[lo:hi] = np.minimum(need, count)
         del quota, need  # free this block's draws before the next block's
-    descriptor = "allocation:" + ",".join(
-        f"{c}x{k}" for c, k in sorted(entries)
-    )
+    descriptor = "allocation:" + ",".join(f"{c}x{k}" for c, k in sorted(entries))
     return SimulationReport(descriptor, config, cost, remaining, completion, workers)
 
 
@@ -300,7 +295,7 @@ def evaluate_fixed_price(problem: DeadlineProblem, price: int) -> PolicyEvaluati
     1 - Pr(Pois >= N), which leaves about 1e-11 where the answer is 0."""
     n_max = problem.n_tasks
     mu = float(np.sum(problem.interval_rates())) * problem.model.probability(int(price))
-    pmf = poisson_tables(np.array([mu]), n_max)[0][0]  # Pr(k pickups), k < N
+    pmf = poisson_pmf_vector(n_max, mu)  # Pr(k pickups), k < N
     remaining = float(np.dot(n_max - np.arange(n_max), pmf))
     return PolicyEvaluation(
         expected_cost=int(price) * (n_max - remaining),
@@ -392,28 +387,23 @@ def simulate_choice_model(
     """
     market_size = _require_int("market_size", market_size)
     reward_slope = _require_real("reward_slope", reward_slope)
-    trials = _require_int("trials", trials)
     prices = [_require_int("price", c) for c in prices]
-    seed = _require_int("seed", seed)
+    config = SimulationConfig(trials=trials, seed=seed)
     if market_size < 2:
         raise DomainError("market_size must be >= 2")
     if not math.isfinite(reward_slope):
         raise DomainError(f"reward_slope must be finite, got {reward_slope}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     if any(c < 0 for c in prices):
         raise DomainError(f"prices must be >= 0, got {min(prices)}")
-    if not (0 <= seed < 2**63):
-        raise DomainError("seed must be in [0, 2**63)")
-    rng = _rng(seed, 0)
+    rng = _rng(config.seed, 0)
     mu_others = rng.standard_normal(market_size - 1)
     sigma = rng.random(market_size)  # index 0 is our task
     out = []
-    chunk = max(1, min(trials, 10**6 // market_size))
+    chunk = max(1, min(config.trials, 10**6 // market_size))
     for price in prices:
         mu_ours = reward_slope * price - 1.0
         wins = 0
-        left = trials
+        left = config.trials
         while left > 0:
             m = min(chunk, left)
             z = rng.standard_normal((m, market_size))
@@ -421,7 +411,7 @@ def simulate_choice_model(
             best_other = np.max(mu_others + sigma[1:] * z[:, 1:], axis=1)
             wins += int(np.sum(ours > best_other))
             left -= m
-        out.append((price, wins / trials))
+        out.append((price, wins / config.trials))
     return out
 
 

@@ -25,6 +25,7 @@ import crowdpricer as cp
 import crowdpricer.budget as budget
 import crowdpricer.deadline as deadline
 import crowdpricer.estimation as estimation
+import crowdpricer.market as market
 import crowdpricer.simulate as simulate
 
 
@@ -110,7 +111,7 @@ def test_truncation_error_bound():
             assert len(support) < n + 1
             policy = deadline.solve_efficient(truncated)
             est = policy.opt[n][0]
-            ev = simulate.evaluate_policy_exact(exact_problem, policy)
+            ev = deadline.evaluate_policy_exact(exact_problem, policy)
             cost = ev.expected_cost + exact_problem.penalty * ev.expected_remaining
             assert est <= opt_exact <= cost
             assert abs(opt_exact - cost) <= eps * n * len(rates) * c_max
@@ -118,9 +119,9 @@ def test_truncation_error_bound():
 
 @pytest.mark.acceptance(4, "truncation threshold table values reproduce exactly")
 def test_threshold_table():
-    assert deadline.truncation_threshold(10, 1e-9) == 35
-    assert deadline.truncation_threshold(20, 1e-9) == 53
-    assert deadline.truncation_threshold(50, 1e-9) == 99
+    assert market.truncation_threshold(10, 1e-9) == 35
+    assert market.truncation_threshold(20, 1e-9) == 53
+    assert market.truncation_threshold(50, 1e-9) == 99
 
 
 @pytest.mark.acceptance(5, "simulated worker counts match the sum-of-reciprocals closed form")
@@ -203,7 +204,7 @@ def test_analogue_cost_reduction(day_problem):
     floor = simulate.price_floor_c0(day_problem)
     base_price, base_conf = simulate.baseline_fixed_price(day_problem, 0.999)
     assert base_conf >= 0.999
-    exact = simulate.evaluate_policy_exact(day_problem, policy)
+    exact = deadline.evaluate_policy_exact(day_problem, policy)
     per_task_exact = exact.expected_cost / day_problem.n_tasks
     report = simulate.simulate_deadline(
         day_problem, policy, simulate.SimulationConfig(trials=300, seed=7))

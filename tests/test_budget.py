@@ -13,6 +13,7 @@ from crowdpricer import (
     InfeasibleError,
     LogisticAcceptance,
     PriceGrid,
+    StaticAllocation,
     TabulatedAcceptance,
     expected_latency,
     expected_worker_arrivals,
@@ -317,6 +318,12 @@ class TestAllocationValidation:
         with pytest.raises(ValueError, match="no probability for 1 grid price.*being 2"):
             BudgetProblem(n_tasks=2, budget=10, grid=PriceGrid(0, 3), mean_rate=50.0,
                           model=TabulatedAcceptance({0: 0.1, 1: 0.2, 3: 0.4}))
+
+    def test_allocation_totals_agree_with_entries(self):
+        alloc = StaticAllocation(entries=((5, 3), (9, 2), (5, 1)),
+                                 expected_workers=1.0, expected_latency_hours=1.0)
+        assert alloc.n_tasks == 6
+        assert alloc.total_cost == 5 * 3 + 9 * 2 + 5 * 1
 
     def test_latency_fields_populated(self):
         prob = BudgetProblem(

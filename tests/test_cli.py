@@ -277,7 +277,7 @@ class TestSimulate:
         doc = load(ws, "pol.json")
         _, policy = deadline.policy_from_dict(doc)
         problem = deadline.problem_from_dict(doc["problem"])
-        ev = simulate.evaluate_policy_exact(problem, policy)
+        ev = deadline.evaluate_policy_exact(problem, policy)
         assert abs(agg["mean_cost"] - ev.expected_cost) <= 3 * agg["se_cost"]
         assert (abs(agg["mean_remaining"] - ev.expected_remaining)
                 <= 3 * agg["se_remaining"])
@@ -430,7 +430,7 @@ class TestBaseline:
         pol_doc = load(ws, "pol.json")
         _, policy = deadline.policy_from_dict(pol_doc)
         problem = deadline.problem_from_dict(pol_doc["problem"])
-        ev = simulate.evaluate_policy_exact(problem, policy)
+        ev = deadline.evaluate_policy_exact(problem, policy)
         assert doc["comparison"]["dynamic_expected_cost_cents"] == pytest.approx(
             ev.expected_cost, rel=1e-12)
 

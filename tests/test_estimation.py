@@ -18,6 +18,7 @@ from crowdpricer import (
     load_observations_csv,
     write_arrival_csv,
 )
+from crowdpricer.errors import DomainError
 from crowdpricer.estimation import load_acceptance_table
 
 
@@ -162,6 +163,10 @@ class TestFitPeriodicProfile:
             fit_periodic_profile([a, b], period_buckets=2)
         with pytest.raises(DataError, match="shorter than the period"):
             fit_periodic_profile([a], period_buckets=5)
+
+    def test_period_of_no_buckets_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="period_buckets must be >= 1, got 0"):
+            fit_periodic_profile([ArrivalProfile(600, (1.0, 2.0))], 0)
 
 
 class TestLoadObservationsCsv:

@@ -104,6 +104,22 @@ class TestPoissonTail:
         for k in (1, 5, 25):
             assert vec[k] == pytest.approx(poisson_tail(k, lam), rel=1e-12)
 
+    def test_empty_vector(self):
+        vec = poisson_tail_vector(0, 3.7)
+        assert vec.shape == (0,) and vec.dtype == np.float64
+
+
+@pytest.mark.parametrize("call", [
+    lambda: poisson_pmf(3, math.nan),
+    lambda: poisson_pmf(3, math.inf),
+    lambda: poisson_tail(3, math.nan),
+    lambda: truncation_threshold(math.inf, 1e-9),
+    lambda: truncation_threshold(math.nan, 1e-9),
+], ids=["pmf-nan", "pmf-inf", "tail-nan", "threshold-inf", "threshold-nan"])
+def test_non_finite_mean_names_lam(call):
+    with pytest.raises(ValueError, match="lam must be non-negative and finite"):
+        call()
+
 
 class TestPoissonTables:
     # the floors in use: tails (1e-18) and the epsilon scan at

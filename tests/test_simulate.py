@@ -299,7 +299,7 @@ class TestSimulateBudget:
         with pytest.raises(DataError):  # a periodic profile with no arrivals
             simulate_budget(((2, 2),), ArrivalProfile(60, (0.0, 0.0), periodic=True),
                             model, SimulationConfig(trials=2, seed=1))
-        with pytest.raises(DataError):  # a price nobody accepts
+        with pytest.raises(DataError, match=r"price effectively dead: p\(1\) = 1e-13"):
             simulate_budget(((1, 1),), ArrivalProfile(60, (1.0,), periodic=True),
                             model, SimulationConfig(trials=2, seed=1))
 
@@ -730,11 +730,12 @@ class TestColumnsMemory:
     TRIALS, TASKS = 50000, 50
     COLUMN = TRIALS * 8  # bytes in one int64 or float64 column
 
-    def budget_report(self, periodic=True):
+    def budget_report(self, periodic=True, base=1.75):
         model = TabulatedAcceptance({12: 0.4})
         # 125 quota draws are needed on average; the non-periodic profile
-        # brings about 140 arrivals, so about a fifth of its trials are short
-        base, swing = (1000.0, 50) if periodic else (1.75, 0.05)
+        # brings about 140 arrivals at base 1.75, so about a fifth of its
+        # trials are short, and about 119 at base 1.45, so most are
+        base, swing = (1000.0, 50) if periodic else (base, 0.05)
         profile = ArrivalProfile(1200, tuple(base + swing * (i % 9) for i in range(72)),
                                  periodic=periodic)
         return simulate_budget(((12, self.TASKS),), profile, model,
@@ -761,6 +762,14 @@ class TestColumnsMemory:
             report_to_dict(rep)
         peak = self.traced_peak(run)
         assert peak <= (4 + 2) * self.COLUMN, peak
+
+    def test_mostly_short_non_periodic_run_copies_no_short_trials(self):
+        def run():
+            rep = self.budget_report(periodic=False, base=1.45)
+            assert 0.5 < np.count_nonzero(rep.remaining) / self.TRIALS < 0.7
+            report_to_dict(rep)
+        peak = self.traced_peak(run)
+        assert peak <= 5.6 * self.COLUMN, peak
 
     def test_fixed_price_simulation_holds_no_state_by_interval_matrix(self):
         n, t = 2000, 144
