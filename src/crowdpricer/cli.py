@@ -40,7 +40,6 @@ from .deadline import (
     evaluate_policy_exact,
     policy_from_dict,
     policy_to_dict,
-    problem_digest,
     problem_to_dict,
     solve_efficient,
     solve_simple,
@@ -85,12 +84,15 @@ from .tradeoff import (
 )
 
 # flags that define a deadline problem.  Policy and allocation documents
-# embed all but --arrival-csv, so `simulate --alloc` rejects those, and with
-# `simulate --policy` they trigger a cross-check against the policy's problem
+# embed all but --arrival-csv, so `simulate --alloc` rejects those.  A policy
+# read with them (`simulate --policy`, `baseline --compare-policy`) must match
+# them in the members of _MARKET, all that simulating or evaluating it reads
+# besides its prices: the grid, penalty, epsilon and existence alpha may differ
 _CORE_PROBLEM_FLAGS = (
     "--tasks", "--deadline-hours", "--intervals", "--arrival-csv",
     "--acceptance", "--acceptance-table", "--max-price",
 )
+_MARKET = ("n_tasks", "n_intervals", "interval_seconds", "start_offset_seconds", "profile", "model")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,16 @@ def _build_deadline_problem(
         )
 
 
+def _check_market(path: str, problem: DeadlineProblem, policy, flags: dict) -> None:
+    """Exit 3 unless each member of `_MARKET` in the problem document `flags`
+    equals that of `problem`, the problem the policy in `path` was solved for."""
+    solved = problem_to_dict(problem)
+    for key in _MARKET:
+        if key in flags and flags[key] != solved[key]:
+            raise DataError(f"policy/problem mismatch: {path} was solved for problem "
+                            f"{policy.problem_digest}, whose {key} differs from the flags")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: (flags, input digests) -> (document, side files as
 # (writer, object, output flag), summary lines).
@@ -389,22 +401,10 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
         problem, policy = _read_document(args.policy, digests, policy_from_dict)
-        if doc_flags:
-            d_flags = problem_digest(_build_deadline_problem(args, digests))
-            if policy.problem_digest != d_flags:
-                raise DataError(
-                    f"policy/problem mismatch: {args.policy} was solved for "
-                    f"problem {policy.problem_digest}, the flags describe {d_flags}"
-                )
-        elif args.arrival_csv is not None:
-            profile = _load_profile(args, digests)
-            if profile_to_dict(profile) != profile_to_dict(problem.profile):
-                raise DataError(
-                    f"arrival mismatch: {args.arrival_csv} (sha256 "
-                    f"{digests[args.arrival_csv]}) differs from the profile "
-                    f"the policy was solved for (problem digest "
-                    f"{policy.problem_digest})"
-                )
+        if doc_flags or args.arrival_csv is not None:
+            flags = (problem_to_dict(_build_deadline_problem(args, digests)) if doc_flags
+                     else {"profile": profile_to_dict(_load_profile(args, digests))})
+            _check_market(args.policy, problem, policy, flags)
         report = simulate_deadline(problem, policy, config)
     else:
         problem = _build_deadline_problem(args, digests)
@@ -452,20 +452,7 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     if args.compare_policy is not None:
         other_problem, other_policy = _read_document(args.compare_policy, digests,
                                                      policy_from_dict)
-        ours, theirs = problem_to_dict(problem), problem_to_dict(other_problem)
-        for key in (
-            "n_tasks",
-            "n_intervals",
-            "interval_seconds",
-            "start_offset_seconds",
-            "profile",
-            "model",
-        ):
-            if ours[key] != theirs[key]:
-                raise DataError(
-                    f"{args.compare_policy}: policy solved under a different "
-                    f"market: '{key}' differs from the flags"
-                )
+        _check_market(args.compare_policy, other_problem, other_policy, problem_to_dict(problem))
         dyn = evaluate_policy_exact(other_problem, other_policy)
         doc["comparison"] = {
             "fixed_expected_cost_cents": ev.expected_cost,

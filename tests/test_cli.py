@@ -227,6 +227,20 @@ class TestSolveDeadline:
             assert r.returncode == 3, r.stderr
             assert f"{name}: {row}" in r.stderr
 
+    def test_penalty_with_bound_is_usage_error(self, ws):
+        r = run_cli(ws, "solve-deadline", *PROB_FLAGS, "--penalty", "30", "--bound", "0.5")
+        assert r.returncode == 2
+        assert "--penalty and --bound are mutually exclusive" in r.stderr
+
+    def test_acceptance_needs_three_values(self, ws, monkeypatch, capsys):
+        monkeypatch.chdir(ws)
+        flags = [{"--acceptance-table": "--acceptance", "tab.csv": "15,-0.39"}.get(f, f)
+                 for f in PROB_FLAGS]
+        assert cli.main(["solve-deadline", *flags]) == 3
+        assert capsys.readouterr().err == (
+            "error: --acceptance expects 'S,B,M' (scale, bias, market mass), "
+            "got '15,-0.39'\n")
+
     def test_bound_reuses_the_last_probe(self, ws, monkeypatch):
         """solve-deadline --bound writes the policy and evaluation of the
         calibration's last accepted probe: one solve per probe, none after."""
@@ -368,6 +382,12 @@ class TestSimulate:
                          "arr.csv", "--trials", "10"]) == 3
         assert capsys.readouterr().err == f"error: alloc_model.json: {reason}\n"
 
+    def test_alloc_without_arrival_csv_is_usage_error(self, ws):
+        ensure(ws, "alloc.json")
+        r = run_cli(ws, "simulate", "--alloc", "alloc.json", "--trials", "10")
+        assert r.returncode == 2
+        assert "--alloc needs --arrival-csv for worker arrivals" in r.stderr
+
     def test_alloc_rejects_model_flags(self, ws):
         ensure(ws, "alloc.json")
         r = run_cli(ws, "simulate", "--alloc", "alloc.json", "--arrival-csv",
@@ -448,6 +468,80 @@ class TestBaseline:
         assert capsys.readouterr().err.splitlines() == [
             "error: cost reduction is undefined against a fixed-price cost of 0.0"]
         assert not (tmp_path / "base.json").exists()
+
+
+class TestPolicyMarket:
+    """A policy read with problem flags (`simulate --policy`, `baseline
+    --compare-policy`) must have been solved for the market they describe:
+    the members that simulating or evaluating it reads besides its prices.
+    The grid, penalty, epsilon and existence alpha may differ.  A later
+    occurrence of a flag overrides an earlier one, so each case appends its
+    change to PROB_FLAGS."""
+
+    @pytest.mark.parametrize("solved_with", [
+        ["--bound", "0.5"], ["--epsilon", "1e-6"], ["--existence-alpha", "1"],
+        ["--min-price", "2", "--price-step", "2"],
+    ], ids=["bound", "epsilon", "existence-alpha", "grid"])
+    def test_a_policy_simulates_with_its_market_flags(self, ws, monkeypatch, capsys,
+                                                      solved_with):
+        monkeypatch.chdir(ws)
+        assert cli.main(["solve-deadline", *PROB_FLAGS, *solved_with, "--out", "pol_m.json"]) == 0
+        runs = []
+        for flags in ([], PROB_FLAGS, ["--arrival-csv", "arr.csv"]):
+            capsys.readouterr()
+            assert cli.main(["simulate", "--policy", "pol_m.json", *flags,
+                             "--trials", "50", "--seed", "5"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["manifest"]
+            runs.append(doc)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        capsys.readouterr()
+        assert cli.main(["baseline", *PROB_FLAGS, "--confidence", "0.5",
+                         "--compare-policy", "pol_m.json"]) == 0
+
+    # a profile of twice the horizon, so that a longer horizon or a later
+    # start changes the one member and leaves a valid problem
+    FLAGS = ["arr_long.csv" if f == "arr.csv" else f for f in PROB_FLAGS]
+    MISMATCHES = {
+        "n_tasks": ["--tasks", "13"],
+        "n_intervals": ["--deadline-hours", "1", "--intervals", "3"],
+        "interval_seconds": ["--deadline-hours", "3"],
+        "start_offset_seconds": ["--start-offset", "1200"],
+        "profile": ["--periodic"],
+        "model": ["--acceptance-table", "tab_other.csv"],
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "baseline"])
+    @pytest.mark.parametrize("member", list(MISMATCHES))
+    def test_a_changed_member_exits_3_naming_it(self, ws, monkeypatch, capsys, command,
+                                                member):
+        (ws / "arr_long.csv").write_text(
+            "t_seconds,count\n" + "".join(f"{i * 1200},6.0\n" for i in range(12)))
+        (ws / "tab_other.csv").write_text(
+            "price_cents,probability\n"
+            + "".join(f"{c},{0.04 + 0.035 * c}\n" for c in range(21)))
+        monkeypatch.chdir(ws)
+        assert cli.main(["solve-deadline", *self.FLAGS, "--out", "pol_long.json"]) == 0
+        capsys.readouterr()
+        flags = [*self.FLAGS, *self.MISMATCHES[member]]
+        argv = (["simulate", "--policy", "pol_long.json", *flags, "--trials", "10"]
+                if command == "simulate" else
+                ["baseline", *flags, "--confidence", "0.1", "--compare-policy", "pol_long.json"])
+        assert cli.main(argv) == 3
+        _, policy = deadline.policy_from_dict(load(ws, "pol_long.json"))
+        assert capsys.readouterr().err == (
+            f"error: policy/problem mismatch: pol_long.json was solved for problem "
+            f"{policy.problem_digest}, whose {member} differs from the flags\n")
+
+    @pytest.mark.parametrize("arrivals", [["arr_other.csv"], ["arr.csv", "--periodic"]],
+                             ids=["rates", "periodic"])
+    def test_a_changed_arrival_profile_exits_3(self, ws, monkeypatch, capsys, arrivals):
+        (ws / "arr_other.csv").write_text(
+            "t_seconds,count\n" + "".join(f"{i * 1200},7.0\n" for i in range(6)))
+        monkeypatch.chdir(ws)
+        assert cli.main(["simulate", "--policy", "pol.json", "--arrival-csv", *arrivals,
+                         "--trials", "10"]) == 3
+        assert "whose profile differs from the flags" in capsys.readouterr().err
 
 
 class TestProbabilityRange:
@@ -619,6 +713,13 @@ class TestFit:
         prof = load(ws, "cprof.json")["profile"]
         assert prof == {"bucket_seconds": 900, "periodic": False,
                         "rates": [3.0, 0.0, 6.0]}
+
+    def test_arrival_single_csv_periodic(self, ws, monkeypatch):
+        monkeypatch.chdir(ws)
+        assert cli.main(["fit", "arrival", "--csv", "arr.csv", "--periodic",
+                         "--out", "pprof.json"]) == 0
+        assert load(ws, "pprof.json")["profile"] == {
+            "bucket_seconds": 1200, "periodic": True, "rates": [6.0] * 6}
 
     @pytest.mark.parametrize("csvs, period, reason", [
         (["arr.csv", "cum.csv"], "2", "profiles disagree on bucket size: 900 vs 1200"),
@@ -804,6 +905,42 @@ class TestPipeline:
         assert cli.main(argv[:-2]) == 0
         doc["manifest"]["resolved_parameters"]["out"] = None
         assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_an_unexpected_error_exits_5_naming_its_type(self, ws, monkeypatch, capsys):
+        def fail(problem):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setattr(cli, "solve_tradeoff", fail)
+        monkeypatch.chdir(ws)
+        assert cli.main(PRODUCERS["to_zero.json"][:-2]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: RuntimeError: solver broke\n"
+        assert captured.out == ""
+
+
+class TestCpuKernels:
+    """`solve-deadline` on the README's day flags under two OpenBLAS kernels,
+    chosen per process by OPENBLAS_CORETYPE (an OpenBLAS that ignores it runs
+    its own kernel twice).  The kernel, like numpy's CPU dispatch of np.exp
+    and np.log, may move the last bits of `opt`, but not a price; one kernel
+    reruns byte for byte."""
+
+    DAY = ["solve-deadline", "--tasks", "200", "--deadline-hours", "24", "--intervals", "72",
+           "--arrival-csv", str(REPO_ROOT / "data" / "arrival_weekly.csv"), "--periodic",
+           "--acceptance", "15,-0.39,2000", "--max-price", "50"]
+
+    def solve(self, tmp_path, coretype):
+        r = subprocess.run([sys.executable, "-m", "crowdpricer", *self.DAY], capture_output=True,
+                           cwd=tmp_path, env={**cli_env(), "OPENBLAS_CORETYPE": coretype})
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    def test_kernels_agree_on_prices_and_within_rounding_on_opt(self, tmp_path):
+        skylake = self.solve(tmp_path, "SkylakeX")
+        assert self.solve(tmp_path, "SkylakeX") == skylake
+        a, b = json.loads(skylake), json.loads(self.solve(tmp_path, "Prescott"))
+        assert a["price"] == b["price"]
+        assert np.allclose(a["opt"], b["opt"], rtol=1e-13, atol=0)
 
 
 class TestWarnings:
