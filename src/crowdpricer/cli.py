@@ -5,10 +5,11 @@ reads its inputs, recording the sha256 of each input file, and returns its
 document, the files written beside it (`simulate --csv`, `fit arrival
 --csv-out`) and its summary lines.  The pipeline embeds a run manifest
 (command name, resolved parameters, input digests, tool version) in the
-document and writes it as JSON with sorted keys, so re-running the same
-invocation on the same inputs yields byte-identical output; then it writes
-the side files, and prints the summary only when the document went to a
-file.  `errors._bad_input` turns a reader's or a constructor's exception
+document and writes it as indented JSON with sorted keys, a matrix such as
+`price` one row per line (`jsonstream.write_document`), so re-running the
+same invocation on the same inputs yields byte-identical output; then it
+writes the side files, and prints the summary only when the document went
+to a file.  `errors._bad_input` turns a reader's or a constructor's exception
 into bad input data, and `_read_document` names the file in every error
 about a policy or allocation document.  A warning prints as one
 `warning: <message>` line.
@@ -54,7 +55,7 @@ from .estimation import (
     load_observations_csv,
     write_arrival_csv,
 )
-from .jsonstream import JsonStream
+from .jsonstream import JsonStream, write_document
 from .market import (
     ArrivalProfile,
     LogisticAcceptance,
@@ -183,14 +184,13 @@ def _check_outputs(args: argparse.Namespace, outputs) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc as indented JSON with sorted keys and a final newline,
-    streamed from the encoder so the whole text is never built.  A file is
-    written under a temporary name beside it and renamed into place, so an
-    encoding error leaves neither a partial document nor a clobbered one; a
-    file that cannot be written is named as `out`, not by the temporary name."""
+    """Write doc with `jsonstream.write_document` to stdout or to `out`.  A
+    file is written under a temporary name beside it and renamed into place,
+    so an encoding error leaves neither a partial document nor a clobbered
+    one; a file that cannot be written is named as `out`, not by the
+    temporary name."""
     if out is None:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        write_document(doc, sys.stdout)
         return
     with _writing(out):
         fd, tmp = tempfile.mkstemp(
@@ -198,8 +198,7 @@ def _emit(doc: dict, out: str | None) -> None:
         )
         try:
             with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                write_document(doc, fh)
             umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -428,6 +427,10 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
 def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     config = None if args.trials is None else _sim_config(args)
     problem = _build_deadline_problem(args, digests)
+    if args.compare_policy is not None:  # a mismatch exits before the baseline's scan
+        other_problem, other_policy = _read_document(args.compare_policy, digests,
+                                                     policy_from_dict)
+        _check_market(args.compare_policy, other_problem, other_policy, problem_to_dict(problem))
     price, prob = baseline_fixed_price(problem, args.confidence)
     ev = evaluate_fixed_price(problem, price)
     floor = price_floor_c0(problem)
@@ -450,9 +453,6 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
         f"price_floor_cents: {'none' if floor is None else f'{floor:.6f}'}",
     ]
     if args.compare_policy is not None:
-        other_problem, other_policy = _read_document(args.compare_policy, digests,
-                                                     policy_from_dict)
-        _check_market(args.compare_policy, other_problem, other_policy, problem_to_dict(problem))
         dyn = evaluate_policy_exact(other_problem, other_policy)
         doc["comparison"] = {
             "fixed_expected_cost_cents": ev.expected_cost,

@@ -8,7 +8,8 @@ are those of `json.load` on the whole text.  A text that is not JSON raises
 a `ValueError` that places nothing; the caller reads the text again, whole,
 so that `json.loads` reports the error.  Beyond the decoded values, reading
 holds one chunk and the text of one array item or of one member that is
-not an array.
+not an array.  `write_document` writes `json.dump(doc, sort_keys=True,
+indent=2)`'s layout, but each member read as a 2-D array one row per line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,27 @@ def _numeric_row(value):
     except ValueError:  # lists nested to unequal depths
         row = None
     return row if row is not None and row.ndim == 1 and row.dtype.kind in "iuf" else value
+
+
+def _is_matrix(rows) -> bool:
+    """Whether rows is a non-empty list of numeric rows (see `_numeric_row`) of one length."""
+    return isinstance(rows, list) and bool(rows) and all(
+        isinstance(row := _numeric_row(r), np.ndarray) and len(row) == len(rows[0]) for r in rows)
+
+
+def write_document(doc: dict, fh) -> None:
+    """Write doc (string keys) to the text file fh in the layout above, with a
+    final newline, member by member: no member's whole text is ever built."""
+    for i, key in enumerate(sorted(doc)):
+        fh.write(f'{"," if i else "{"}\n  {json.dumps(key)}: ')
+        if _is_matrix(value := doc[key]):
+            fh.writelines(f'{"," if j else "["}\n    {json.dumps(row)}' for j, row in enumerate(value))
+            fh.write("\n  ]")
+        else:  # the encoder's chunks indented one level, joined 4096 at a time
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(value)
+            while batch := [chunk for _, chunk in zip(range(4096), chunks)]:
+                fh.write("".join(batch).replace("\n", "\n  "))
+    fh.write("\n}\n" if doc else "{}\n")
 
 
 class JsonStream:
@@ -103,10 +125,7 @@ class JsonStream:
             return
         rows = []
         self.items("]", lambda: rows.append(_numeric_row(self.value())))
-        if rows and all(isinstance(r, np.ndarray) for r in rows) and len(
-                {len(r) for r in rows}) == 1:
-            rows = np.stack(rows)
-        doc[key] = rows
+        doc[key] = np.stack(rows) if _is_matrix(rows) else rows
 
     def document(self):
         """The top-level value, which must be the whole text; an object is

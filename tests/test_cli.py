@@ -533,6 +533,20 @@ class TestPolicyMarket:
             f"error: policy/problem mismatch: pol_long.json was solved for problem "
             f"{policy.problem_digest}, whose {member} differs from the flags\n")
 
+    @pytest.mark.parametrize("member, change", [
+        ("n_tasks", ["--tasks", "13"]),  # the scan: 0.998985 < 0.999 at the top price
+        ("interval_seconds", ["--deadline-hours", "3"]),  # the scan: the profile runs out
+    ], ids=["n_tasks", "interval_seconds"])
+    def test_baseline_reports_a_mismatch_before_its_scan(self, ws, monkeypatch, capsys,
+                                                         member, change):
+        # the fixed-price scan on these flags fails, so it must not run first
+        monkeypatch.chdir(ws)
+        assert cli.main(["baseline", *PROB_FLAGS, *change, "--compare-policy", "pol.json"]) == 3
+        _, policy = deadline.policy_from_dict(load(ws, "pol.json"))
+        assert capsys.readouterr().err == (
+            f"error: policy/problem mismatch: pol.json was solved for problem "
+            f"{policy.problem_digest}, whose {member} differs from the flags\n")
+
     @pytest.mark.parametrize("arrivals", [["arr_other.csv"], ["arr.csv", "--periodic"]],
                              ids=["rates", "periodic"])
     def test_a_changed_arrival_profile_exits_3(self, ws, monkeypatch, capsys, arrivals):
@@ -904,7 +918,9 @@ class TestPipeline:
         assert capsys.readouterr().out.splitlines() == summary_lines(doc)
         assert cli.main(argv[:-2]) == 0
         doc["manifest"]["resolved_parameters"]["out"] = None
-        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out = capsys.readouterr().out
+        assert out == rows_layout(doc)
+        assert json.loads(out) == doc
 
     def test_an_unexpected_error_exits_5_naming_its_type(self, ws, monkeypatch, capsys):
         def fail(problem):
@@ -1001,8 +1017,9 @@ def policy_doc():
 
 
 class TestWriter:
-    """cli._emit streams the encoder's output: the bytes of json.dumps, with
-    no full text in memory and no partial file on an encoding error."""
+    """cli._emit streams the bytes of json.dumps(doc, sort_keys=True,
+    indent=2), each matrix member one row per line, with no full text in
+    memory and no partial file on an encoding error."""
 
     @staticmethod
     def expected(doc):
@@ -1011,7 +1028,8 @@ class TestWriter:
     def test_file_bytes_and_mode_match_a_plain_write(self, policy_doc, tmp_path):
         out = tmp_path / "pol.json"
         cli._emit(policy_doc, str(out))
-        assert out.read_bytes() == self.expected(policy_doc).encode()
+        assert out.read_bytes() == rows_layout(policy_doc).encode()
+        assert json.loads(out.read_bytes()) == policy_doc
         plain = tmp_path / "plain.json"
         plain.write_text("{}")
         assert out.stat().st_mode == plain.stat().st_mode
@@ -1031,6 +1049,48 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_matrix_rows_take_a_third_less_text(self, policy_doc, tmp_path):
+        out = tmp_path / "pol.json"
+        cli._emit(policy_doc, str(out))
+        assert out.stat().st_size <= 0.7 * len(self.expected(policy_doc))
+
+    def test_peak_memory_of_a_member_that_is_not_a_matrix(self, tmp_path):
+        # the whole text of this document is about 5 MB, none of it matrix rows
+        rng = np.random.default_rng(5)
+        doc = {"per_trial": [{"cost": c, "remaining": r, "completion_seconds": None}
+                             for c, r in zip(rng.random(50_000).tolist(),
+                                             rng.integers(0, 9, 50_000).tolist())]}
+        tracemalloc.start()
+        try:
+            cli._emit(doc, str(tmp_path / "rep.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (tmp_path / "rep.json").read_text() == self.expected(doc)
+
+    def test_a_policy_in_the_earlier_layout_reads_alike(self, ws, monkeypatch, capsys):
+        # json.dump's layout, one entry per line, as earlier versions wrote policies
+        monkeypatch.chdir(ws)
+        assert cli.main(["solve-deadline", *PROB_FLAGS, "--bound", "0.5",
+                         "--out", "pol_rows.json"]) == 0
+        (ws / "pol_entries.json").write_text(self.expected(load(ws, "pol_rows.json")))
+        assert (ws / "pol_entries.json").stat().st_size > (ws / "pol_rows.json").stat().st_size
+        runs = []
+        for name in ("pol_rows.json", "pol_entries.json"):
+            docs = []
+            for argv in (["simulate", "--policy", name, "--trials", "200", "--seed", "3"],
+                         ["baseline", *PROB_FLAGS, "--confidence", "0.5",
+                          "--compare-policy", name]):
+                capsys.readouterr()
+                assert cli.main(argv) == 0
+                doc = json.loads(capsys.readouterr().out)
+                del doc["manifest"]
+                docs.append(doc)
+            runs.append(docs)
+        assert runs[1] == runs[0]
+        assert runs[0][1]["comparison"] is not None
 
     def test_encoding_error_keeps_the_existing_file(self, tmp_path):
         out = tmp_path / "pol.json"
@@ -1073,19 +1133,41 @@ def plain(value):
     return value
 
 
-def render(pairs, indent, ensure_ascii) -> bytes:
-    """The object json.dumps writes in the given layout, with the members in
-    the given order and any repeated keys kept."""
+def is_matrix(value) -> bool:
+    """Whether value is a non-empty list of equal-length lists of ints and floats."""
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(row, list) and len(row) == len(value[0])
+                    and all(type(x) in (int, float) for x in row) for row in value))
+
+
+def render(pairs, indent, ensure_ascii, matrix_rows=False) -> bytes:
+    """The object json.dumps writes in the given layout, nested keys sorted,
+    with the members in the given order and any repeated keys kept.  With
+    matrix_rows (and an indent), each member that is a matrix (`is_matrix`)
+    is written one row per line."""
     if indent is None:
         dump = functools.partial(json.dumps, separators=(",", ":"), ensure_ascii=ensure_ascii)
         text = "{" + ",".join(f"{dump(k)}:{dump(v)}" for k, v in pairs) + "}"
     else:
-        dump = functools.partial(json.dumps, indent=indent, ensure_ascii=ensure_ascii)
+        dump = functools.partial(json.dumps, indent=indent, ensure_ascii=ensure_ascii,
+                                 sort_keys=True)
         pad = "\n" + " " * indent
-        text = "{" + ",".join(
-            f"{pad}{dump(k)}: {dump(v).replace(chr(10), pad)}" for k, v in pairs)
+
+        def member(v):
+            if matrix_rows and is_matrix(v):
+                return "[" + ",".join(pad + " " * indent + json.dumps(row) for row in v) + pad + "]"
+            return dump(v).replace(chr(10), pad)
+
+        text = "{" + ",".join(f"{pad}{dump(k)}: {member(v)}" for k, v in pairs)
         text += "\n}" if pairs else "}"
     return (text + "\n").encode()
+
+
+def rows_layout(doc) -> str:
+    """doc as json.dumps(doc, sort_keys=True, indent=2) writes it, but each
+    top-level matrix one row per line, and a final newline: what cli._emit
+    writes, rendered independently of it."""
+    return render(sorted(doc.items()), 2, True, matrix_rows=True).decode()
 
 
 # ints stay within 2**53, so a row that mixes them with floats converts exactly
@@ -1164,9 +1246,10 @@ class TestReader:
 
     @settings(max_examples=25)
     @given(pairs=_members, indent=st.sampled_from([None, 2, 4]),
-           ensure_ascii=st.booleans(), chunk=st.integers(1, 7))
-    def test_matches_json_loads_on_every_cut(self, path, pairs, indent, ensure_ascii, chunk):
-        data = render(pairs, indent, ensure_ascii)
+           ensure_ascii=st.booleans(), matrix_rows=st.booleans(), chunk=st.integers(1, 7))
+    def test_matches_json_loads_on_every_cut(self, path, pairs, indent, ensure_ascii,
+                                             matrix_rows, chunk):
+        data = render(pairs, indent, ensure_ascii, matrix_rows)
         self.assert_reads_like_json_loads(path, data, chunk)
         for cut in range(len(data)):
             self.assert_reads_like_json_loads(path, data[:cut], chunk)
