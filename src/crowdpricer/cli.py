@@ -88,7 +88,8 @@ from .tradeoff import (
 # embed all but --arrival-csv, so `simulate --alloc` rejects those.  A policy
 # read with them (`simulate --policy`, `baseline --compare-policy`) must match
 # them in the members of _MARKET, all that simulating or evaluating it reads
-# besides its prices: the grid, penalty, epsilon and existence alpha may differ
+# besides its prices: the grid, penalty, epsilon and existence alpha may differ,
+# and `simulate --policy` builds only those members from its flags
 _CORE_PROBLEM_FLAGS = (
     "--tasks", "--deadline-hours", "--intervals", "--arrival-csv",
     "--acceptance", "--acceptance-table", "--max-price",
@@ -113,8 +114,8 @@ def _read_csv(load, path: str, digests: dict[str, str], **kwargs):
 def _read_json(path: str, digests: dict[str, str]) -> dict:
     """The JSON object in `path`, decoded as `json.load` decodes it except
     that each top-level member that is an array of equal-length lists of
-    numbers comes back as a 2-D numpy array (see `jsonstream`).  The file's
-    sha256 goes into `digests`.  An invalid text is read again, whole, so
+    numbers comes back as a 2-D numpy array, decoded row by row into one
+    buffer (see `jsonstream`).  The file's sha256 goes into `digests`.  An invalid text is read again, whole, so
     that `json.loads` says what is wrong with it and where."""
     digest = hashlib.sha256()
     with (_bad_input(f"cannot read {path}: ", OSError),
@@ -257,9 +258,8 @@ def _interval_seconds(deadline_hours: float, intervals: int) -> int:
     return int(snapped)
 
 
-def _build_deadline_problem(
-    args: argparse.Namespace, digests: dict[str, str]
-) -> DeadlineProblem:
+def _require_problem_flags(args: argparse.Namespace) -> None:
+    """Exit 2 unless the command line sets every flag a deadline problem needs."""
     model_flags = ("--acceptance", "--acceptance-table")
     given = _given(args, _CORE_PROBLEM_FLAGS)
     missing = [f for f in _CORE_PROBLEM_FLAGS if f not in given and f not in model_flags]
@@ -267,6 +267,12 @@ def _build_deadline_problem(
         missing.append("--acceptance or --acceptance-table")
     if missing:
         args._parser.error(f"missing {', '.join(missing)}")
+
+
+def _build_deadline_problem(
+    args: argparse.Namespace, digests: dict[str, str]
+) -> DeadlineProblem:
+    _require_problem_flags(args)
     with _bad_input("bad problem: "):
         return DeadlineProblem(
             n_tasks=args.tasks,
@@ -400,10 +406,18 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
         problem, policy = _read_document(args.policy, digests, policy_from_dict)
-        if doc_flags or args.arrival_csv is not None:
-            flags = (problem_to_dict(_build_deadline_problem(args, digests)) if doc_flags
-                     else {"profile": profile_to_dict(_load_profile(args, digests))})
-            _check_market(args.policy, problem, policy, flags)
+        flags = {}
+        if doc_flags:  # only the members checked: the grid and penalty flags go unread
+            _require_problem_flags(args)
+            with _bad_input("bad problem: "):
+                flags = {"n_tasks": args.tasks, "n_intervals": args.intervals,
+                         "interval_seconds": _interval_seconds(args.deadline_hours, args.intervals),
+                         "profile": profile_to_dict(_load_profile(args, digests)),
+                         "model": model_to_dict(_build_model(args, digests)),
+                         "start_offset_seconds": args.start_offset}
+        elif args.arrival_csv is not None:
+            flags = {"profile": profile_to_dict(_load_profile(args, digests))}
+        _check_market(args.policy, problem, policy, flags)
         report = simulate_deadline(problem, policy, config)
     else:
         problem = _build_deadline_problem(args, digests)

@@ -440,11 +440,20 @@ def policy_to_dict(problem: DeadlineProblem, policy: DeadlinePolicy) -> dict:
     }
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a list that holds a bool, as an entry or in a row (a
+    list or a numpy array), which `np.asarray` would read as the number 0 or 1."""
+    return isinstance(value, list) and any(
+        bool in map(type, r) if isinstance(r, list) else np.asarray(r).dtype == bool
+        for r in value)
+
+
 def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
     """Read a policy document.  `price` and `opt` may be nested lists, as
     `policy_to_dict` writes them, or numpy rows or matrices; a matrix of the
-    policy's dtype is used as it is, not copied.  Every price must lie on
-    the problem's grid and every opt entry must be finite."""
+    policy's dtype is used as it is, not copied.  A bool is not a number.
+    Every price must lie on the problem's grid and every opt entry must be
+    finite."""
     with _bad_input("bad policy document: ", (KeyError, TypeError, ValueError)):
         if _require_int("schema_version", d["schema_version"]) != SCHEMA_VERSION:
             raise DataError(f"unsupported schema_version {d['schema_version']}")
@@ -452,14 +461,15 @@ def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
         price, opt = np.asarray(d["price"]), np.asarray(d["opt"])
     rows, cols = problem.n_tasks + 1, problem.n_intervals
     for name, m, shape in (("price", price, (rows, cols)), ("opt", opt, (rows, cols + 1))):
-        if m.dtype.kind not in "iuf" or m.shape != shape:
+        if m.dtype.kind not in "iuf" or m.shape != shape or _holds_bool(d[name]):
             raise DataError(
                 f"policy document: {name} is not a {shape[0]}x{shape[1]} matrix "
                 f"of numbers, as the problem needs")
     grid = problem.grid
     with np.errstate(invalid="ignore"):  # NaN and inf prices are off the grid
-        on_grid = (price >= grid.min_price) & (price <= grid.max_price) & (
-            price % grid.step == grid.min_price % grid.step)
+        on_grid = (price >= grid.min_price) & (price <= grid.max_price)
+        if price.dtype.kind == "f" or grid.step > 1:  # whole prices are all on a step of 1
+            on_grid &= price % grid.step == grid.min_price % grid.step
     for name, m, ok, rule in (("price", price, on_grid, "is not on the price grid"),
                               ("opt", opt, np.isfinite(opt), "is not finite")):
         if not ok.all():

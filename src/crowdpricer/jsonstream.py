@@ -2,14 +2,18 @@
 
 The members of a top-level object are decoded one at a time with
 `json.JSONDecoder.raw_decode`, and a member that is an array one item at a
-time, so that a policy's `price` and `opt` matrices become numpy arrays row
-by row instead of one Python object per entry.  Values and accepted texts
-are those of `json.load` on the whole text.  A text that is not JSON raises
-a `ValueError` that places nothing; the caller reads the text again, whole,
-so that `json.loads` reports the error.  Beyond the decoded values, reading
-holds one chunk and the text of one array item or of one member that is
-not an array.  `write_document` writes `json.dump(doc, sort_keys=True,
-indent=2)`'s layout, but each member read as a 2-D array one row per line.
+time, so that a policy's `price` and `opt` matrices never become one Python
+object per entry.  A matrix member is decoded into one buffer: each row's
+bytes are appended to a `bytearray` that grows in place and the row is
+dropped, and the matrix is a numpy view of that buffer, so reading holds each
+matrix once, with no per-row arrays and no stacked copy.  Values and
+accepted texts are those of `json.load` on the whole text.  A text that is
+not JSON raises a `ValueError` that places nothing; the caller reads the
+text again, whole, so that `json.loads` reports the error.  Beyond the
+decoded values, reading holds one chunk and the text of one array item or of
+one member that is not an array.  `write_document` writes `json.dump(doc,
+sort_keys=True, indent=2)`'s layout, but each member read as a 2-D array one
+row per line.
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 def _numeric_row(value):
-    """A list of numbers as a 1-D numpy array; any other value unchanged."""
+    """A list of numbers as a 1-D numpy array; any other value unchanged.  A
+    bool is not a number, so a list holding one is never promoted."""
+    if not isinstance(value, list) or bool in map(type, value):
+        return value
     try:
-        row = np.array(value) if isinstance(value, list) else None
+        row = np.array(value)
     except ValueError:  # lists nested to unequal depths
-        row = None
-    return row if row is not None and row.ndim == 1 and row.dtype.kind in "iuf" else value
+        return value
+    return row if row.ndim == 1 and row.dtype.kind in "iuf" else value
 
 
 def _is_matrix(rows) -> bool:
@@ -51,6 +58,62 @@ def write_document(doc: dict, fh) -> None:
             while batch := [chunk for _, chunk in zip(range(4096), chunks)]:
                 fh.write("".join(batch).replace("\n", "\n  "))
     fh.write("\n}\n" if doc else "{}\n")
+
+
+class _Rows:
+    """The items of an array member, added one at a time.  While they are
+    numeric rows (see `_numeric_row`) of one length, each row's bytes are
+    appended to `data` and the row is dropped; `runs` holds the first row and
+    the dtype of each run of rows of one dtype.  The first item that is not
+    such a row turns the rows so far into one view of `data` each, and it
+    and every later item are kept in `items` as `_numeric_row` returns them."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.runs: list[tuple[int, np.dtype]] = []
+        self.count = self.width = 0
+        self.items: list | None = None
+
+    def add(self, value) -> None:
+        row = _numeric_row(value)
+        if self.items is None:
+            if isinstance(row, np.ndarray) and (not self.count or len(row) == self.width):
+                if not self.runs or self.runs[-1][1] != row.dtype:
+                    self.runs.append((self.count, row.dtype))
+                self.data += row.data
+                self.count, self.width = self.count + 1, len(row)
+                return
+            self.items = [r for block in self.blocks() for r in block]
+        self.items.append(row)
+
+    def blocks(self) -> list[np.ndarray]:
+        """Each run's rows as a 2-D view of `data`."""
+        blocks, offset = [], 0
+        for (start, dtype), (end, _) in zip(self.runs, [*self.runs[1:], (self.count, None)]):
+            blocks.append(np.frombuffer(self.data, dtype, (end - start) * self.width, offset)
+                          .reshape(end - start, self.width))
+            offset += blocks[-1].nbytes
+        return blocks
+
+    def value(self):
+        """What `np.stack` makes of the rows if they form a matrix, in dtype,
+        shape and bits; otherwise the items.  Rows of mixed dtypes are cast
+        to the promoted dtype in place, one row at a time, when its items
+        are as wide as theirs (always so for int64, uint64 and float64)."""
+        if self.items is not None:
+            return self.items
+        if not self.count:
+            return []
+        blocks = self.blocks()
+        dtype = np.result_type(*blocks)
+        if len(blocks) > 1 and any(b.itemsize != dtype.itemsize for b in blocks):
+            return np.concatenate(blocks)
+        matrix = np.frombuffer(self.data, dtype).reshape(self.count, self.width)
+        for (start, _), block in zip(self.runs, blocks):
+            if block.dtype != dtype:
+                for i, row in enumerate(block, start):
+                    matrix[i] = row  # row overlaps matrix[i], so numpy copies it first
+        return matrix
 
 
 class JsonStream:
@@ -114,8 +177,8 @@ class JsonStream:
 
     def member(self, doc: dict) -> None:
         """Decode one member of the top-level object into doc.  An array is
-        decoded one item at a time: a list of numbers becomes a numpy row as
-        soon as it is read, and rows of one length are stacked at the end."""
+        decoded one item at a time into `_Rows`: rows of numbers of one
+        length become a 2-D array, any other array a list."""
         self.expect('"')
         key = self.value()
         self.expect(":")
@@ -123,9 +186,9 @@ class JsonStream:
         if self.peek() != "[":
             doc[key] = self.value()
             return
-        rows = []
-        self.items("]", lambda: rows.append(_numeric_row(self.value())))
-        doc[key] = np.stack(rows) if _is_matrix(rows) else rows
+        rows = _Rows()
+        self.items("]", lambda: rows.add(self.value()))
+        doc[key] = rows.value()
 
     def document(self):
         """The top-level value, which must be the whole text; an object is

@@ -499,6 +499,26 @@ class TestPolicyMarket:
         assert cli.main(["baseline", *PROB_FLAGS, "--confidence", "0.5",
                          "--compare-policy", "pol_m.json"]) == 0
 
+    @pytest.mark.parametrize("extra", [["--max-price", "30"], ["--penalty", "5"]],
+                             ids=["grid-past-the-table", "penalty-below-top-price"])
+    def test_simulate_builds_only_the_market_from_its_flags(self, ws, monkeypatch, capsys,
+                                                            extra):
+        # the table covers prices 0..20, so a grid to 30 is no valid problem,
+        # and a penalty of 5 would be warned about; neither is read here
+        monkeypatch.chdir(ws)
+        ensure(ws, "pol.json")
+        runs = []
+        for flags in ([], [*PROB_FLAGS, *extra]):
+            capsys.readouterr()
+            assert cli.main(["simulate", "--policy", "pol.json", *flags,
+                             "--trials", "50", "--seed", "5"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            doc = json.loads(out)
+            del doc["manifest"]
+            runs.append(doc)
+        assert runs[1] == runs[0]
+
     # a profile of twice the horizon, so that a longer horizon or a later
     # start changes the one member and leaves a valid problem
     FLAGS = ["arr_long.csv" if f == "arr.csv" else f for f in PROB_FLAGS]
@@ -1297,6 +1317,62 @@ class TestReader:
         assert not writer.is_alive()
         assert capsys.readouterr().err == "error: doc.fifo: not valid JSON\n"
 
+    @staticmethod
+    def reference(member):
+        """What the reader made of an array member before it decoded matrices
+        into one buffer: each item through `_numeric_row`, then `np.stack`
+        if they form a matrix."""
+        rows = [jsonstream._numeric_row(item) for item in member]
+        return np.stack(rows) if jsonstream._is_matrix(rows) else rows
+
+    @staticmethod
+    def assert_identical(got, want):
+        """got equals want in type, and every numpy array in dtype, shape and bytes."""
+        assert type(got) is type(want), (got, want)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                TestReader.assert_identical(g, w)
+        else:
+            assert plain(got) == plain(want)
+
+    @pytest.mark.parametrize("member", [
+        "[[1, 2, 3], [4, 5, 6]]", "[[1.5, -2.0], [NaN, Infinity], [1e300, -0.0]]",
+        "[[1, 2], [3, 4], [0.5, 1e-7]]", "[[0.5, 1e-7], [1, 2], [3, 4]]",
+        "[[9007199254740993, 1], [2.5, 2], [9223372036854775809, 3], [-4, 5]]",
+        "[[1, -2], [9223372036854775808, 3]]", "[[9223372036854775808, 3], [1, -2]]",
+        "[[]]", "[[], []]", "[[1, 2], [3]]", "[[1, 2], [0.5, 1], [3]]", "[[], [1]]",
+        "[[1, [2]], [3, 4]]", "[[1, 2], [[3], 4]]", "[[1, 2], [true, 1]]",
+        "[[true, false], [1, 2]]", "[[1.5, false]]", "[1, 2]", "[]", '[[1, 2], "x"]',
+        "[[1, 2], null, [3, 4]]", '[{"a": [1]}, [1]]', "[[18446744073709551616, 1]]",
+    ], ids=["int", "float", "int-then-float", "float-then-int", "int-float-uint-int",
+            "int-then-uint64", "uint64-then-int", "one-empty-row", "two-empty-rows",
+            "unequal-lengths", "promoted-then-unequal", "empty-then-not", "nested-item",
+            "nested-first-item", "bool-row-last", "bool-row-first", "float-and-bool",
+            "flat-numbers", "empty", "string-item", "null-item", "object-item",
+            "past-uint64"])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_an_array_member_reads_as_its_rows_stacked(self, path, member, chunk):
+        path.write_text(f'{{"m": {member}, "n": 1}}')
+        got = self.read(path, chunk)["m"]
+        self.assert_identical(got, self.reference(json.loads(member)))
+
+    def test_reading_holds_each_matrix_once(self, policy_doc, tmp_path):
+        # rows go straight into one buffer per matrix, and the price grid
+        # check builds no price-sized remainder
+        path = tmp_path / "pol.json"
+        cli._emit(policy_doc, str(path))
+        tracemalloc.start()
+        try:
+            doc = cli._read_json(str(path), {})
+            _, policy = deadline.policy_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (policy.price.nbytes + policy.opt.nbytes)
+
     def test_reading_a_policy_needs_no_object_per_entry(self, policy_doc, tmp_path):
         # json.load peaks at 7.5 MB on this document
         path = tmp_path / "pol.json"
@@ -1349,6 +1425,11 @@ class TestPolicyInput:
         ("price", 4, 5, 2.5, "price 2.5 at (n=4, t=5) is not on the price grid"),
         ("opt", 3, 2, math.nan, "opt nan at (n=3, t=2) is not finite"),
         ("opt", 0, 6, -math.inf, "opt -inf at (n=0, t=6) is not finite"),
+        # a bool is not a number, though numpy reads [true, 1] as [1, 1]
+        ("price", 1, 0, True, "price is not a 13x6 matrix"),
+        ("price", 12, 5, False, "price is not a 13x6 matrix"),
+        ("opt", 3, 2, True, "opt is not a 13x7 matrix"),
+        ("opt", 0, 6, False, "opt is not a 13x7 matrix"),
     ])
     def test_invalid_entry(self, ws, monkeypatch, capsys, name, n, t, value, reason):
         def edit(doc):

@@ -723,6 +723,51 @@ class TestSerialization:
         with pytest.raises(DataError):
             policy_from_dict(bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("price", True), ("price", False), ("opt", True), ("opt", False)])
+    @pytest.mark.parametrize("other_rows", [list, np.array], ids=["lists", "numpy-rows"])
+    def test_a_bool_entry_is_not_a_number(self, name, value, other_rows):
+        # numpy reads [True, 1] as the int64 row [1, 1]; the CLI's reader
+        # gives numpy rows and keeps a row holding a bool as a list
+        prob = small_problem()
+        doc = policy_to_dict(prob, solve_simple(prob))
+        doc[name] = [other_rows(row) for row in doc[name]]
+        doc[name][2] = [doc[name][2][0], value, *doc[name][2][2:]]
+        shape = "7x4" if name == "price" else "7x5"
+        with pytest.raises(DataError, match=f"{name} is not a {shape} matrix of numbers"):
+            policy_from_dict(doc)
+
+    def test_a_row_of_numpy_bools_is_not_a_number(self):
+        prob = small_problem()
+        doc = policy_to_dict(prob, solve_simple(prob))
+        doc["price"][3] = np.ones(4, dtype=bool)
+        with pytest.raises(DataError, match="price is not a 7x4 matrix of numbers"):
+            policy_from_dict(doc)
+
+    @pytest.mark.parametrize("grid, value, ok", [
+        (PriceGrid(0, 8), 3, True), (PriceGrid(0, 8), 3.0, True),
+        (PriceGrid(0, 8), 2.5, False), (PriceGrid(0, 8), math.nan, False),
+        (PriceGrid(0, 8), math.inf, False), (PriceGrid(0, 8), -math.inf, False),
+        (PriceGrid(0, 8), 9, False), (PriceGrid(0, 8), -1, False),
+        (PriceGrid(1, 7, 2), 3, True), (PriceGrid(1, 7, 2), 4, False),
+        (PriceGrid(1, 7, 2), 4.0, False), (PriceGrid(1, 7, 2), 3.5, False),
+    ])
+    def test_price_grid_check(self, grid, value, ok):
+        # whole prices on a step of 1 skip the remainder, which must not change the verdict
+        prob = small_problem(grid=grid, model=TabulatedAcceptance(
+            {c: 0.05 + 0.09 * c for c in grid.prices()}))
+        doc = policy_to_dict(prob, solve_simple(prob))
+        doc["price"][4][2] = value
+        if ok:
+            _, policy = policy_from_dict(doc)
+            assert policy.price[4, 2] == value
+        else:
+            with pytest.raises(DataError) as info:
+                policy_from_dict(doc)
+            assert str(info.value) == (
+                f"policy document: price {float(value) if isinstance(value, float) else value}"
+                f" at (n=4, t=2) is not on the price grid")
+
 
 class TestProblemValidation:
     def test_default_penalty(self):
