@@ -269,20 +269,27 @@ def _require_problem_flags(args: argparse.Namespace) -> None:
         args._parser.error(f"missing {', '.join(missing)}")
 
 
+def _market(args: argparse.Namespace, digests: dict[str, str]) -> dict:
+    """The members of `_MARKET` as the flags define them, as objects."""
+    return {
+        "n_tasks": args.tasks,
+        "n_intervals": args.intervals,
+        "interval_seconds": _interval_seconds(args.deadline_hours, args.intervals),
+        "start_offset_seconds": args.start_offset,
+        "profile": _load_profile(args, digests),
+        "model": _build_model(args, digests),
+    }
+
+
 def _build_deadline_problem(
     args: argparse.Namespace, digests: dict[str, str]
 ) -> DeadlineProblem:
     _require_problem_flags(args)
     with _bad_input("bad problem: "):
         return DeadlineProblem(
-            n_tasks=args.tasks,
-            n_intervals=args.intervals,
-            interval_seconds=_interval_seconds(args.deadline_hours, args.intervals),
-            profile=_load_profile(args, digests),
-            model=_build_model(args, digests),
+            **_market(args, digests),
             grid=_build_grid(args),
             penalty=args.penalty,
-            start_offset_seconds=args.start_offset,
             existence_alpha=args.existence_alpha,
             epsilon=args.epsilon,
         )
@@ -410,11 +417,9 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         if doc_flags:  # only the members checked: the grid and penalty flags go unread
             _require_problem_flags(args)
             with _bad_input("bad problem: "):
-                flags = {"n_tasks": args.tasks, "n_intervals": args.intervals,
-                         "interval_seconds": _interval_seconds(args.deadline_hours, args.intervals),
-                         "profile": profile_to_dict(_load_profile(args, digests)),
-                         "model": model_to_dict(_build_model(args, digests)),
-                         "start_offset_seconds": args.start_offset}
+                flags = _market(args, digests)
+                flags.update(profile=profile_to_dict(flags["profile"]),
+                             model=model_to_dict(flags["model"]))
         elif args.arrival_csv is not None:
             flags = {"profile": profile_to_dict(_load_profile(args, digests))}
         _check_market(args.policy, problem, policy, flags)

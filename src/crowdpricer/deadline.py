@@ -39,6 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DataError, DomainError, InfeasibleError, _bad_input
+from .jsonstream import _numeric_row
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -440,11 +441,13 @@ def policy_to_dict(problem: DeadlineProblem, policy: DeadlinePolicy) -> dict:
     }
 
 
-def _holds_bool(value) -> bool:
-    """Whether value is a list that holds a bool, as an entry or in a row (a
-    list or a numpy array), which `np.asarray` would read as the number 0 or 1."""
+def _holds_non_number(value) -> bool:
+    """Whether value is a list with an entry or row that `np.asarray` may read
+    as numbers though it is not: a list row that is not a numeric row by the
+    rule of `jsonstream._numeric_row` (where a bool is not a number), or a
+    bool entry or numpy row of bools, which would read as 0 or 1."""
     return isinstance(value, list) and any(
-        bool in map(type, r) if isinstance(r, list) else np.asarray(r).dtype == bool
+        isinstance(_numeric_row(r), list) if isinstance(r, list) else np.asarray(r).dtype == bool
         for r in value)
 
 
@@ -461,7 +464,7 @@ def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
         price, opt = np.asarray(d["price"]), np.asarray(d["opt"])
     rows, cols = problem.n_tasks + 1, problem.n_intervals
     for name, m, shape in (("price", price, (rows, cols)), ("opt", opt, (rows, cols + 1))):
-        if m.dtype.kind not in "iuf" or m.shape != shape or _holds_bool(d[name]):
+        if m.dtype.kind not in "iuf" or m.shape != shape or _holds_non_number(d[name]):
             raise DataError(
                 f"policy document: {name} is not a {shape[0]}x{shape[1]} matrix "
                 f"of numbers, as the problem needs")

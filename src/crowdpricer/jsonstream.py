@@ -5,8 +5,9 @@ The members of a top-level object are decoded one at a time with
 time, so that a policy's `price` and `opt` matrices never become one Python
 object per entry.  A matrix member is decoded into one buffer: each row's
 bytes are appended to a `bytearray` that grows in place and the row is
-dropped, and the matrix is a numpy view of that buffer, so reading holds each
-matrix once, with no per-row arrays and no stacked copy.  Values and
+dropped, and the matrix is a numpy view of that buffer (when its rows share
+one dtype, as a written policy's do), so reading holds each matrix once,
+with no per-row arrays and no stacked copy.  Values and
 accepted texts are those of `json.load` on the whole text.  A text that is
 not JSON raises a `ValueError` that places nothing; the caller reads the
 text again, whole, so that `json.loads` reports the error.  Beyond the
@@ -39,10 +40,19 @@ def _numeric_row(value):
     return row if row.ndim == 1 and row.dtype.kind in "iuf" else value
 
 
+def _fits(row, width: int | None) -> bool:
+    """Whether row, as `_numeric_row` returns it, is a numeric row that can
+    follow rows of length width in a matrix (any numeric row when width is
+    None, before the first row)."""
+    return isinstance(row, np.ndarray) and width in (None, len(row))
+
+
 def _is_matrix(rows) -> bool:
-    """Whether rows is a non-empty list of numeric rows (see `_numeric_row`) of one length."""
+    """Whether rows is a non-empty list of numeric rows of one length: the
+    matrix rule, which the writer asks of a whole member and `_Rows.add`
+    asks of each row as it is read, both through `_fits`."""
     return isinstance(rows, list) and bool(rows) and all(
-        isinstance(row := _numeric_row(r), np.ndarray) and len(row) == len(rows[0]) for r in rows)
+        _fits(_numeric_row(r), len(rows[0]) if i else None) for i, r in enumerate(rows))
 
 
 def write_document(doc: dict, fh) -> None:
@@ -62,7 +72,7 @@ def write_document(doc: dict, fh) -> None:
 
 class _Rows:
     """The items of an array member, added one at a time.  While they are
-    numeric rows (see `_numeric_row`) of one length, each row's bytes are
+    rows of a matrix (see `_fits`), each row's bytes are
     appended to `data` and the row is dropped; `runs` holds the first row and
     the dtype of each run of rows of one dtype.  The first item that is not
     such a row turns the rows so far into one view of `data` each, and it
@@ -71,13 +81,14 @@ class _Rows:
     def __init__(self) -> None:
         self.data = bytearray()
         self.runs: list[tuple[int, np.dtype]] = []
-        self.count = self.width = 0
+        self.count = 0
+        self.width: int | None = None
         self.items: list | None = None
 
     def add(self, value) -> None:
         row = _numeric_row(value)
         if self.items is None:
-            if isinstance(row, np.ndarray) and (not self.count or len(row) == self.width):
+            if _fits(row, self.width):
                 if not self.runs or self.runs[-1][1] != row.dtype:
                     self.runs.append((self.count, row.dtype))
                 self.data += row.data
@@ -97,23 +108,14 @@ class _Rows:
 
     def value(self):
         """What `np.stack` makes of the rows if they form a matrix, in dtype,
-        shape and bits; otherwise the items.  Rows of mixed dtypes are cast
-        to the promoted dtype in place, one row at a time, when its items
-        are as wide as theirs (always so for int64, uint64 and float64)."""
+        shape and bits; otherwise the items.  Rows of one dtype, as a written
+        policy's always are, are the one view of `data`."""
         if self.items is not None:
             return self.items
         if not self.count:
             return []
         blocks = self.blocks()
-        dtype = np.result_type(*blocks)
-        if len(blocks) > 1 and any(b.itemsize != dtype.itemsize for b in blocks):
-            return np.concatenate(blocks)
-        matrix = np.frombuffer(self.data, dtype).reshape(self.count, self.width)
-        for (start, _), block in zip(self.runs, blocks):
-            if block.dtype != dtype:
-                for i, row in enumerate(block, start):
-                    matrix[i] = row  # row overlaps matrix[i], so numpy copies it first
-        return matrix
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class JsonStream:
