@@ -41,7 +41,6 @@ from .deadline import (
     evaluate_policy_exact,
     policy_from_dict,
     policy_to_dict,
-    problem_to_dict,
     solve_efficient,
     solve_simple,
 )
@@ -84,17 +83,21 @@ from .tradeoff import (
     solve_tradeoff,
 )
 
-# flags that define a deadline problem.  Policy and allocation documents
-# embed all but --arrival-csv, so `simulate --alloc` rejects those.  A policy
-# read with them (`simulate --policy`, `baseline --compare-policy`) must match
-# them in the members of _MARKET, all that simulating or evaluating it reads
-# besides its prices: the grid, penalty, epsilon and existence alpha may differ,
-# and `simulate --policy` builds only those members from its flags
-_CORE_PROBLEM_FLAGS = (
-    "--tasks", "--deadline-hours", "--intervals", "--arrival-csv",
-    "--acceptance", "--acceptance-table", "--max-price",
-)
-_MARKET = ("n_tasks", "n_intervals", "interval_seconds", "start_offset_seconds", "profile", "model")
+# The one statement of which flags set which member of a policy's market, all
+# that simulating or evaluating a policy reads besides its prices (the grid,
+# penalty, epsilon and existence alpha only shaped them).  A member needs a
+# value for each of its flags ("A or B": for either); a flag with a default
+# always has one.  `simulate --policy` builds and compares the members whose
+# flags were given, `baseline --compare-policy` all six, and `simulate
+# --alloc` takes the profile's flags and refuses every other problem flag.
+_MARKET = {
+    "n_tasks": ("--tasks",),
+    "n_intervals": ("--intervals",),
+    "interval_seconds": ("--deadline-hours", "--intervals"),
+    "start_offset_seconds": ("--start-offset",),
+    "profile": ("--arrival-csv", "--cumulative", "--periodic"),
+    "model": ("--acceptance or --acceptance-table",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +171,19 @@ def _value(args: argparse.Namespace, flag: str):
     return getattr(args, flag.lstrip("-").replace("-", "_"), None)
 
 
-def _given(args: argparse.Namespace, flags) -> list[str]:
-    """The flags among `flags` that the command line set, in order."""
-    return [f for f in flags if _value(args, f) is not None]
+class _Noted(argparse.Action):
+    """`store`, or `store_true` where `nargs=0`, that also notes the flag in
+    the namespace's `_set_flags`, so that a flag on the command line counts
+    as set whatever its value.  Each deadline-problem flag is one."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace._set_flags = [*getattr(namespace, "_set_flags", ()), self.option_strings[0]]
+
+
+def _given(args: argparse.Namespace) -> list[str]:
+    """The deadline-problem flags that the command line set, in order, once each."""
+    return list(dict.fromkeys(getattr(args, "_set_flags", ())))
 
 
 def _check_outputs(args: argparse.Namespace, outputs) -> None:
@@ -258,33 +271,38 @@ def _interval_seconds(deadline_hours: float, intervals: int) -> int:
     return int(snapped)
 
 
-def _require_problem_flags(args: argparse.Namespace) -> None:
-    """Exit 2 unless the command line sets every flag a deadline problem needs."""
-    model_flags = ("--acceptance", "--acceptance-table")
-    given = _given(args, _CORE_PROBLEM_FLAGS)
-    missing = [f for f in _CORE_PROBLEM_FLAGS if f not in given and f not in model_flags]
-    if not _given(args, model_flags):
-        missing.append("--acceptance or --acceptance-table")
+def _flags(member: str) -> list[str]:
+    """Every flag that sets `member` of `_MARKET`."""
+    return [f for need in _MARKET[member] for f in need.split(" or ")]
+
+
+def _require(args: argparse.Namespace, members, *flags: str) -> None:
+    """Exit 2 naming each flag that `members` of `_MARKET` need, and each of
+    `flags`, that has no value."""
+    needs = dict.fromkeys([*(n for m in members for n in _MARKET[m]), *flags])
+    missing = [n for n in needs if all(_value(args, f) is None for f in n.split(" or "))]
     if missing:
         args._parser.error(f"missing {', '.join(missing)}")
 
 
-def _market(args: argparse.Namespace, digests: dict[str, str]) -> dict:
-    """The members of `_MARKET` as the flags define them, as objects."""
-    return {
-        "n_tasks": args.tasks,
-        "n_intervals": args.intervals,
-        "interval_seconds": _interval_seconds(args.deadline_hours, args.intervals),
-        "start_offset_seconds": args.start_offset,
-        "profile": _load_profile(args, digests),
-        "model": _build_model(args, digests),
+def _market(args: argparse.Namespace, digests: dict[str, str], members=_MARKET) -> dict:
+    """`members` of `_MARKET` as the flags define them, as objects."""
+    build = {
+        "n_tasks": lambda: args.tasks,
+        "n_intervals": lambda: args.intervals,
+        "interval_seconds": lambda: _interval_seconds(args.deadline_hours, args.intervals),
+        "start_offset_seconds": lambda: args.start_offset,
+        "profile": lambda: _load_profile(args, digests),
+        "model": lambda: _build_model(args, digests),
     }
+    with _bad_input("bad problem: "):
+        return {member: build[member]() for member in members}
 
 
 def _build_deadline_problem(
     args: argparse.Namespace, digests: dict[str, str]
 ) -> DeadlineProblem:
-    _require_problem_flags(args)
+    _require(args, _MARKET, "--max-price")
     with _bad_input("bad problem: "):
         return DeadlineProblem(
             **_market(args, digests),
@@ -295,12 +313,11 @@ def _build_deadline_problem(
         )
 
 
-def _check_market(path: str, problem: DeadlineProblem, policy, flags: dict) -> None:
-    """Exit 3 unless each member of `_MARKET` in the problem document `flags`
-    equals that of `problem`, the problem the policy in `path` was solved for."""
-    solved = problem_to_dict(problem)
+def _check_market(path: str, problem: DeadlineProblem, policy, market: dict) -> None:
+    """Exit 3 unless each member of `_MARKET` in `market` equals that of
+    `problem`, the problem the policy in `path` was solved for."""
     for key in _MARKET:
-        if key in flags and flags[key] != solved[key]:
+        if key in market and market[key] != getattr(problem, key):
             raise DataError(f"policy/problem mismatch: {path} was solved for problem "
                             f"{policy.problem_digest}, whose {key} differs from the flags")
 
@@ -397,15 +414,11 @@ def _sim_config(args: argparse.Namespace) -> SimulationConfig:
 
 def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
     config = _sim_config(args)
-    # the problem flags that policy and allocation documents embed
-    doc_flags = _given(args, [f for f in _CORE_PROBLEM_FLAGS if f != "--arrival-csv"])
-
     if args.alloc is not None:
-        if doc_flags:
-            args._parser.error(
-                f"{', '.join(doc_flags)} cannot be combined with --alloc "
-                f"(the allocation document embeds its model)"
-            )
+        refused = [f for f in _given(args) if f not in _flags("profile")]
+        if refused:
+            args._parser.error(f"{', '.join(refused)} cannot be combined with --alloc "
+                               f"(it takes only {', '.join(_flags('profile'))})")
         if args.arrival_csv is None:
             args._parser.error("--alloc needs --arrival-csv for worker arrivals")
         entries, model = _read_document(args.alloc, digests, _allocation_from_dict)
@@ -413,16 +426,10 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
         problem, policy = _read_document(args.policy, digests, policy_from_dict)
-        flags = {}
-        if doc_flags:  # only the members checked: the grid and penalty flags go unread
-            _require_problem_flags(args)
-            with _bad_input("bad problem: "):
-                flags = _market(args, digests)
-                flags.update(profile=profile_to_dict(flags["profile"]),
-                             model=model_to_dict(flags["model"]))
-        elif args.arrival_csv is not None:
-            flags = {"profile": profile_to_dict(_load_profile(args, digests))}
-        _check_market(args.policy, problem, policy, flags)
+        # the members whose flags were given: the grid and penalty flags go unread
+        members = [m for m in _MARKET if set(_flags(m)) & set(_given(args))]
+        _require(args, members)
+        _check_market(args.policy, problem, policy, _market(args, digests, members))
         report = simulate_deadline(problem, policy, config)
     else:
         problem = _build_deadline_problem(args, digests)
@@ -449,7 +456,7 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     if args.compare_policy is not None:  # a mismatch exits before the baseline's scan
         other_problem, other_policy = _read_document(args.compare_policy, digests,
                                                      policy_from_dict)
-        _check_market(args.compare_policy, other_problem, other_policy, problem_to_dict(problem))
+        _check_market(args.compare_policy, other_problem, other_policy, vars(problem))
     price, prob = baseline_fixed_price(problem, args.confidence)
     ev = evaluate_fixed_price(problem, price)
     floor = price_floor_c0(problem)
@@ -572,88 +579,45 @@ def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
 
 
 def _add_grid_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument(
-        "--max-price", type=int, required=required, help="largest price in cents"
-    )
-    p.add_argument(
-        "--min-price", type=int, default=0, help="smallest price in cents (default 0)"
-    )
-    p.add_argument(
-        "--price-step", type=int, default=1, help="grid step in cents (default 1)"
-    )
+    p.add_argument("--max-price", action=_Noted, type=int, required=required,
+                   help="largest price in cents")
+    p.add_argument("--min-price", action=_Noted, type=int, default=0,
+                   help="smallest price in cents (default 0)")
+    p.add_argument("--price-step", action=_Noted, type=int, default=1,
+                   help="grid step in cents (default 1)")
 
 
 def _add_model_args(p: argparse.ArgumentParser, required: bool) -> None:
     g = p.add_mutually_exclusive_group(required=required)
-    g.add_argument(
-        "--acceptance",
-        metavar="S,B,M",
-        help="logistic acceptance parameters: scale, bias, market mass",
-    )
-    g.add_argument(
-        "--acceptance-table",
-        metavar="FILE",
-        help="CSV 'price_cents,probability' giving p(c) per grid price",
-    )
-
-
-def _add_profile_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument(
-        "--arrival-csv",
-        metavar="FILE",
-        required=required,
-        help="arrival CSV 't_seconds,count' at uniform spacing",
-    )
-    p.add_argument(
-        "--cumulative",
-        action="store_true",
-        help="rows are remaining-task snapshots; use their decrements",
-    )
-    p.add_argument(
-        "--periodic",
-        action="store_true",
-        help="repeat the profile beyond its span",
-    )
+    g.add_argument("--acceptance", action=_Noted, metavar="S,B,M",
+                   help="logistic acceptance parameters: scale, bias, market mass")
+    g.add_argument("--acceptance-table", action=_Noted, metavar="FILE",
+                   help="CSV 'price_cents,probability' giving p(c) per grid price")
 
 
 def _add_deadline_problem_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--tasks", type=int, required=required, help="number of tasks")
-    p.add_argument(
-        "--deadline-hours", type=float, required=required, help="horizon length"
-    )
-    p.add_argument(
-        "--intervals",
-        type=int,
-        required=required,
-        help="number of posting intervals in the horizon",
-    )
-    _add_profile_args(p, required)
+    p.add_argument("--tasks", action=_Noted, type=int, required=required,
+                   help="number of tasks")
+    p.add_argument("--deadline-hours", action=_Noted, type=float, required=required,
+                   help="horizon length")
+    p.add_argument("--intervals", action=_Noted, type=int, required=required,
+                   help="number of posting intervals in the horizon")
+    p.add_argument("--arrival-csv", action=_Noted, metavar="FILE", required=required,
+                   help="arrival CSV 't_seconds,count' at uniform spacing")
+    p.add_argument("--cumulative", action=_Noted, nargs=0, default=False,
+                   help="rows are remaining-task snapshots; use their decrements")
+    p.add_argument("--periodic", action=_Noted, nargs=0, default=False,
+                   help="repeat the profile beyond its span")
     _add_model_args(p, required)
     _add_grid_args(p, required)
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=1e-9,
-        help="transition truncation level (default 1e-9; 0 disables)",
-    )
-    p.add_argument(
-        "--existence-alpha",
-        type=float,
-        default=0.0,
-        help="extra terminal penalty weight charged once if anything is unfinished",
-    )
-    p.add_argument(
-        "--start-offset",
-        type=int,
-        default=0,
-        help="seconds into the profile at which the horizon starts",
-    )
-    p.add_argument(
-        "--penalty",
-        type=float,
-        default=None,
-        help="terminal cost per unfinished task (default 10 * max price)",
-    )
+    p.add_argument("--epsilon", action=_Noted, type=float, default=1e-9,
+                   help="transition truncation level (default 1e-9; 0 disables)")
+    p.add_argument("--existence-alpha", action=_Noted, type=float, default=0.0,
+                   help="extra terminal penalty weight charged once if anything is unfinished")
+    p.add_argument("--start-offset", action=_Noted, type=int, default=0,
+                   help="seconds into the profile at which the horizon starts")
+    p.add_argument("--penalty", action=_Noted, type=float, default=None,
+                   help="terminal cost per unfinished task (default 10 * max price)")
 
 
 def _add_sim_config_args(p: argparse.ArgumentParser, trials_required: bool) -> None:

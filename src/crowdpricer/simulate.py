@@ -262,10 +262,13 @@ def simulate_budget(
             ok = count >= need
             at = total * rng.beta(need[ok], count[ok] - need[ok] + 1)
             completion[lo:hi][ok] = profile._time_at(at)
-            done = np.count_nonzero(quota <= count[:, None], axis=1)
+            workers[lo:hi] = np.minimum(need, count)
+            # `need` is used up, so compare in the draw buffer and sum the 0/1
+            # entries: `count_nonzero` would cast them to a boolean copy
+            np.less_equal(quota, count[:, None], out=quota)
+            done = quota.sum(axis=1)
             cost[lo:hi] = paid[done]
             remaining[lo:hi] = n_tasks - done
-            workers[lo:hi] = np.minimum(need, count)
         del quota, need  # free this block's draws before the next block's
     descriptor = "allocation:" + ",".join(f"{c}x{k}" for c, k in sorted(entries))
     return SimulationReport(descriptor, config, cost, remaining, completion, workers)

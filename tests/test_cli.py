@@ -1,5 +1,6 @@
 """End-to-end command line checks, run through subprocess."""
 
+import argparse
 import contextlib
 import errno
 import functools
@@ -44,6 +45,14 @@ def run_cli(cwd, *argv):
         [sys.executable, "-m", "crowdpricer", *argv],
         capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
+
+
+def exit_code(argv):
+    """What cli.main returns, or the code it exits with on a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def load(ws, name):
@@ -576,6 +585,91 @@ class TestPolicyMarket:
         assert cli.main(["simulate", "--policy", "pol.json", "--arrival-csv", *arrivals,
                          "--trials", "10"]) == 3
         assert "whose profile differs from the flags" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solved_with, given, code, message", [
+        (["--start-offset", "1200"], ["--start-offset", "0"], 3,
+         "whose start_offset_seconds differs from the flags"),
+        ([], ["--tasks", "13"], 3, "whose n_tasks differs from the flags"),
+        ([], ["--deadline-hours", "3"], 2, "error: missing --intervals"),
+    ], ids=["start-offset-0", "tasks", "deadline-hours"])
+    def test_a_member_given_alone_is_compared(self, ws, monkeypatch, capsys, solved_with,
+                                              given, code, message):
+        # a flag counts as given at its default value too; a member given only
+        # some of its flags names the missing one
+        (ws / "arr_long.csv").write_text(
+            "t_seconds,count\n" + "".join(f"{i * 1200},6.0\n" for i in range(12)))
+        monkeypatch.chdir(ws)
+        assert cli.main(["solve-deadline", *self.FLAGS, *solved_with, "--out", "pol_alone.json"]) == 0
+        capsys.readouterr()
+        assert exit_code(["simulate", "--policy", "pol_alone.json", *given, "--trials", "10"]) == code
+        assert message in capsys.readouterr().err
+
+
+class TestSimulateFlags:
+    """Each flag that describes a deadline problem, given a value other than
+    its default, changes what `simulate` reports or exits 2 or 3, in every
+    mode: no flag is dropped silently.  The grid, penalty, epsilon and
+    existence-alpha flags only shaped a policy's prices, so `simulate
+    --policy` accepts them unread; a fixed-price run reads them, which a
+    value out of their domain shows."""
+
+    MODES = {
+        "policy": ["--policy", "pol.json"],
+        "policy-with-market": ["--policy", "pol.json", *PROB_FLAGS],
+        "alloc": ["--alloc", "alloc.json", "--arrival-csv", "arr.csv"],
+        "fixed-price": ["--fixed-price", "4", *PROB_FLAGS],
+    }
+    VALUES = {
+        "--tasks": ["13"], "--deadline-hours": ["1"], "--intervals": ["3"],
+        "--arrival-csv": ["arr_other.csv"], "--cumulative": [], "--periodic": [],
+        "--acceptance": ["15,-0.39,2000"], "--acceptance-table": ["tab_other.csv"],
+        "--max-price": ["30"], "--min-price": ["21"], "--price-step": ["0"],
+        "--epsilon": ["-1"], "--existence-alpha": ["-1"], "--start-offset": ["1200"],
+        "--penalty": ["-1"],
+    }
+    UNREAD = {"--max-price", "--min-price", "--price-step", "--penalty", "--epsilon",
+              "--existence-alpha"}
+    # --periodic changes nothing within the profile's span, so this case
+    # runs both sides past it, where the run without it exits 3
+    ALONGSIDE = {("fixed-price", "--periodic"): ["--deadline-hours", "3"]}
+
+    def test_values_cover_every_problem_flag(self):
+        parser = argparse.ArgumentParser()
+        cli._add_deadline_problem_args(parser, required=False)
+        assert set(self.VALUES) == {a.option_strings[0] for a in parser._actions[1:]}
+
+    @staticmethod
+    def outcome(argv):
+        """The exit code and the report without its manifest (None on an error)."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = exit_code(["simulate", *argv, "--trials", "40", "--seed", "5"])
+        if code != 0:
+            return code, None
+        doc = json.loads(out.getvalue())
+        del doc["manifest"]
+        return code, doc
+
+    @pytest.mark.parametrize("flag", list(VALUES))
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_a_flag_changes_the_report_or_exits(self, ws, monkeypatch, mode, flag):
+        ensure(ws, "alloc.json")
+        (ws / "arr_other.csv").write_text(
+            "t_seconds,count\n" + "".join(f"{i * 1200},7.0\n" for i in range(6)))
+        (ws / "tab_other.csv").write_text(
+            "price_cents,probability\n"
+            + "".join(f"{c},{0.04 + 0.035 * c}\n" for c in range(21)))
+        monkeypatch.chdir(ws)
+        base = [*self.MODES[mode], *self.ALONGSIDE.get((mode, flag), [])]
+        changed = [*base, flag, *self.VALUES[flag]]
+        if flag == "--acceptance" and "--acceptance-table" in base:  # the two exclude each other
+            at = changed.index("--acceptance-table")
+            del changed[at:at + 2]
+        before, after = self.outcome(base), self.outcome(changed)
+        if mode.startswith("policy") and flag in self.UNREAD:
+            assert after == before and after[0] == 0
+        else:
+            assert after[0] in (2, 3) or (after[0] == 0 and after != before), after
 
 
 class TestProbabilityRange:
@@ -1543,10 +1637,12 @@ class TestFuzz:
                      ("?--fixed-price", "5", "size"), ("?--alloc", "alloc", "file"),
                      ("?--seed", None, "int"), ("?--per-trial", None, "switch"),
                      ("?--csv", None, "out"), ("?--arrival-csv", "arr", "file"),
-                     ("?--tasks", "12", "size")],
+                     ("?--tasks", "12", "size"), ("?--start-offset", "0", "int"),
+                     ("?--periodic", None, "switch"), ("?--epsilon", "0", "real")],
         "simulate --alloc": [("--alloc", "alloc", "file"), ("--arrival-csv", "arr", "file"),
                              ("--trials", "20", "size"), ("?--periodic", None, "switch"),
-                             ("?--tasks", "12", "size")],
+                             ("?--tasks", "12", "size"), ("?--start-offset", "0", "int"),
+                             ("?--epsilon", "0", "real")],
         "baseline": [*PROBLEM, ("--confidence", "0.9", "real"),
                      ("?--compare-policy", "pol", "file"), ("?--trials", "20", "size"),
                      ("?--seed", None, "int")],

@@ -734,7 +734,8 @@ class TestColumnsMemory:
         model = TabulatedAcceptance({12: 0.4})
         # 125 quota draws are needed on average; the non-periodic profile
         # brings about 140 arrivals at base 1.75, so about a fifth of its
-        # trials are short, and about 119 at base 1.45, so most are
+        # trials are short, about 119 at base 1.45, so most are, and about
+        # 173 at base 2.2, so about 1% are
         base, swing = (1000.0, 50) if periodic else (base, 0.05)
         profile = ArrivalProfile(1200, tuple(base + swing * (i % 9) for i in range(72)),
                                  periodic=periodic)
@@ -770,6 +771,16 @@ class TestColumnsMemory:
             report_to_dict(rep)
         peak = self.traced_peak(run)
         assert peak <= 5.6 * self.COLUMN, peak
+
+    def test_mostly_finished_non_periodic_run_compares_in_the_draw_buffer(self):
+        # the settle count builds no (block x tasks) boolean matrix: 5.44
+        # columns with one, 5.31 without (one block of draws is 1.02 columns)
+        def run():
+            rep = self.budget_report(periodic=False, base=2.2)
+            assert 0 < np.count_nonzero(rep.remaining) / self.TRIALS < 0.02
+            report_to_dict(rep)
+        peak = self.traced_peak(run)
+        assert peak <= 5.35 * self.COLUMN, peak
 
     def test_fixed_price_simulation_holds_no_state_by_interval_matrix(self):
         n, t = 2000, 144
