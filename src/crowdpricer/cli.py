@@ -5,8 +5,8 @@ reads its inputs, recording the sha256 of each input file, and returns its
 document, the files written beside it (`simulate --csv`, `fit arrival
 --csv-out`) and its summary lines.  The pipeline embeds a run manifest
 (command name, resolved parameters, input digests, tool version) in the
-document and writes it as indented JSON with sorted keys, a matrix such as
-`price` one row per line (`jsonstream.write_document`), so re-running the
+document and writes it as indented JSON with sorted keys, a list of lists
+(`price`) one row per line (`jsonstream.write_document`), so re-running the
 same invocation on the same inputs yields byte-identical output; then it
 writes the side files, and prints the summary only when the document went
 to a file.  `errors._bad_input` turns a reader's or a constructor's exception
@@ -116,10 +116,11 @@ def _read_csv(load, path: str, digests: dict[str, str], **kwargs):
 
 def _read_json(path: str, digests: dict[str, str]) -> dict:
     """The JSON object in `path`, decoded as `json.load` decodes it except
-    that each top-level member that is an array of equal-length lists of
-    numbers comes back as a 2-D numpy array, decoded row by row into one
-    buffer (see `jsonstream`).  The file's sha256 goes into `digests`.  An invalid text is read again, whole, so
-    that `json.loads` says what is wrong with it and where."""
+    that each top-level array member goes through `jsonstream.numeric_matrix`
+    item by item: rows of numbers of one length become a 2-D numpy array in
+    one buffer, and any other array a list.  The file's sha256 goes into
+    `digests`.  An invalid text is read again, whole, so that `json.loads`
+    says what is wrong with it and where."""
     digest = hashlib.sha256()
     with (_bad_input(f"cannot read {path}: ", OSError),
           _bad_input(f"{path}: not valid UTF-8: ", UnicodeDecodeError),
@@ -435,6 +436,9 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         problem = _build_deadline_problem(args, digests)
         with _bad_input(""):
             strategy = FixedPrice(args.fixed_price)
+        if strategy.price not in (grid := problem.grid).prices():
+            raise DataError(f"--fixed-price {strategy.price} is not on the price grid "
+                            f"{grid.min_price}..{grid.max_price} step {grid.step}")
         report = simulate_deadline(problem, strategy, config)
 
     doc = report_to_dict(report, include_per_trial=args.per_trial)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DataError, DomainError, InfeasibleError, _bad_input
-from .jsonstream import _numeric_row
+from .jsonstream import numeric_matrix
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -441,30 +441,22 @@ def policy_to_dict(problem: DeadlineProblem, policy: DeadlinePolicy) -> dict:
     }
 
 
-def _holds_non_number(value) -> bool:
-    """Whether value is a list with an entry or row that `np.asarray` may read
-    as numbers though it is not: a list row that is not a numeric row by the
-    rule of `jsonstream._numeric_row` (where a bool is not a number), or a
-    bool entry or numpy row of bools, which would read as 0 or 1."""
-    return isinstance(value, list) and any(
-        isinstance(_numeric_row(r), list) if isinstance(r, list) else np.asarray(r).dtype == bool
-        for r in value)
-
-
 def policy_from_dict(d: dict) -> tuple[DeadlineProblem, DeadlinePolicy]:
-    """Read a policy document.  `price` and `opt` may be nested lists, as
-    `policy_to_dict` writes them, or numpy rows or matrices; a matrix of the
-    policy's dtype is used as it is, not copied.  A bool is not a number.
-    Every price must lie on the problem's grid and every opt entry must be
-    finite."""
+    """Read a policy document.  `price` and `opt` may be numpy matrices,
+    used as they are, not copied, or lists of rows, as `policy_to_dict` writes
+    them, each a list of numbers or a numpy row: `jsonstream.numeric_matrix`
+    reads such a list as `cli._read_json` reads its JSON text, so a bool is
+    not a number.  Every price must lie on the problem's grid and every opt
+    entry must be finite."""
     with _bad_input("bad policy document: ", (KeyError, TypeError, ValueError)):
         if _require_int("schema_version", d["schema_version"]) != SCHEMA_VERSION:
             raise DataError(f"unsupported schema_version {d['schema_version']}")
         problem = problem_from_dict(d["problem"])
-        price, opt = np.asarray(d["price"]), np.asarray(d["opt"])
+        price, opt = (numeric_matrix(m) if isinstance(m := d[k], list) else m
+                      for k in ("price", "opt"))
     rows, cols = problem.n_tasks + 1, problem.n_intervals
     for name, m, shape in (("price", price, (rows, cols)), ("opt", opt, (rows, cols + 1))):
-        if m.dtype.kind not in "iuf" or m.shape != shape or _holds_non_number(d[name]):
+        if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf" and m.shape == shape):
             raise DataError(
                 f"policy document: {name} is not a {shape[0]}x{shape[1]} matrix "
                 f"of numbers, as the problem needs")

@@ -3,18 +3,18 @@
 The members of a top-level object are decoded one at a time with
 `json.JSONDecoder.raw_decode`, and a member that is an array one item at a
 time, so that a policy's `price` and `opt` matrices never become one Python
-object per entry.  A matrix member is decoded into one buffer: each row's
-bytes are appended to a `bytearray` that grows in place and the row is
-dropped, and the matrix is a numpy view of that buffer (when its rows share
-one dtype, as a written policy's do), so reading holds each matrix once,
-with no per-row arrays and no stacked copy.  Values and
+object per entry.  `numeric_matrix` makes an array whose items are numeric
+rows of one length a 2-D numpy array, appending each row's bytes to one
+`bytearray` that grows in place, so reading holds each matrix once, with no
+per-row arrays and no stacked copy; any other array is a list.  Values and
 accepted texts are those of `json.load` on the whole text.  A text that is
 not JSON raises a `ValueError` that places nothing; the caller reads the
 text again, whole, so that `json.loads` reports the error.  Beyond the
 decoded values, reading holds one chunk and the text of one array item or of
 one member that is not an array.  `write_document` writes `json.dump(doc,
-sort_keys=True, indent=2)`'s layout, but each member read as a 2-D array one
-row per line.
+sort_keys=True, indent=2)`'s layout, but each top-level member that is a
+non-empty list of lists one row per line, each row as `json.dumps(row,
+sort_keys=True)` writes it; the layout is chosen by that shape alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 def _numeric_row(value):
-    """A list of numbers as a 1-D numpy array; any other value unchanged.  A
-    bool is not a number, so a list holding one is never promoted."""
+    """A list of numbers as a 1-D numpy array; any other value unchanged, but
+    a numpy array is read as its `tolist()`.  A bool is not a number, so a
+    list holding one is never promoted."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if not isinstance(value, list) or bool in map(type, value):
         return value
     try:
@@ -40,19 +43,32 @@ def _numeric_row(value):
     return row if row.ndim == 1 and row.dtype.kind in "iuf" else value
 
 
-def _fits(row, width: int | None) -> bool:
-    """Whether row, as `_numeric_row` returns it, is a numeric row that can
-    follow rows of length width in a matrix (any numeric row when width is
-    None, before the first row)."""
-    return isinstance(row, np.ndarray) and width in (None, len(row))
-
-
-def _is_matrix(rows) -> bool:
-    """Whether rows is a non-empty list of numeric rows of one length: the
-    matrix rule, which the writer asks of a whole member and `_Rows.add`
-    asks of each row as it is read, both through `_fits`."""
-    return isinstance(rows, list) and bool(rows) and all(
-        _fits(_numeric_row(r), len(rows[0]) if i else None) for i, r in enumerate(rows))
+def numeric_matrix(items):
+    """What `np.stack` makes of the items, in dtype, shape and bits, if each
+    is a numeric row (`_numeric_row`) and all have one length: the one rule
+    of a matrix of numbers.  Otherwise the list of what `_numeric_row` makes
+    of each item (empty for no items).  Every item is consumed.  Each row's
+    bytes are appended to one `bytearray` and the row is dropped; rows of one
+    dtype, as a written policy's always are, come back as one view of it."""
+    data, runs, width, rest = bytearray(), [], None, None  # runs: [dtype, rows]
+    items = iter(items)
+    for item in items:
+        row = _numeric_row(item)
+        if not isinstance(row, np.ndarray) or width not in (None, len(row)):
+            rest = [row, *map(_numeric_row, items)]
+            break
+        if not runs or runs[-1][0] != row.dtype:
+            runs.append([row.dtype, 0])
+        runs[-1][1] += 1
+        data += row.data
+        width = len(row)
+    blocks, offset = [], 0  # each run as a 2-D view of data
+    for dtype, n in runs:
+        blocks.append(np.frombuffer(data, dtype, n * width, offset).reshape(n, width))
+        offset += blocks[-1].nbytes
+    if rest is not None or not blocks:
+        return [row for block in blocks for row in block] + (rest or [])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def write_document(doc: dict, fh) -> None:
@@ -60,62 +76,16 @@ def write_document(doc: dict, fh) -> None:
     final newline, member by member: no member's whole text is ever built."""
     for i, key in enumerate(sorted(doc)):
         fh.write(f'{"," if i else "{"}\n  {json.dumps(key)}: ')
-        if _is_matrix(value := doc[key]):
-            fh.writelines(f'{"," if j else "["}\n    {json.dumps(row)}' for j, row in enumerate(value))
+        value = doc[key]
+        if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+            fh.writelines(f'{"," if j else "["}\n    {json.dumps(row, sort_keys=True)}'
+                          for j, row in enumerate(value))
             fh.write("\n  ]")
         else:  # the encoder's chunks indented one level, joined 4096 at a time
             chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(value)
             while batch := [chunk for _, chunk in zip(range(4096), chunks)]:
                 fh.write("".join(batch).replace("\n", "\n  "))
     fh.write("\n}\n" if doc else "{}\n")
-
-
-class _Rows:
-    """The items of an array member, added one at a time.  While they are
-    rows of a matrix (see `_fits`), each row's bytes are
-    appended to `data` and the row is dropped; `runs` holds the first row and
-    the dtype of each run of rows of one dtype.  The first item that is not
-    such a row turns the rows so far into one view of `data` each, and it
-    and every later item are kept in `items` as `_numeric_row` returns them."""
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-        self.runs: list[tuple[int, np.dtype]] = []
-        self.count = 0
-        self.width: int | None = None
-        self.items: list | None = None
-
-    def add(self, value) -> None:
-        row = _numeric_row(value)
-        if self.items is None:
-            if _fits(row, self.width):
-                if not self.runs or self.runs[-1][1] != row.dtype:
-                    self.runs.append((self.count, row.dtype))
-                self.data += row.data
-                self.count, self.width = self.count + 1, len(row)
-                return
-            self.items = [r for block in self.blocks() for r in block]
-        self.items.append(row)
-
-    def blocks(self) -> list[np.ndarray]:
-        """Each run's rows as a 2-D view of `data`."""
-        blocks, offset = [], 0
-        for (start, dtype), (end, _) in zip(self.runs, [*self.runs[1:], (self.count, None)]):
-            blocks.append(np.frombuffer(self.data, dtype, (end - start) * self.width, offset)
-                          .reshape(end - start, self.width))
-            offset += blocks[-1].nbytes
-        return blocks
-
-    def value(self):
-        """What `np.stack` makes of the rows if they form a matrix, in dtype,
-        shape and bits; otherwise the items.  Rows of one dtype, as a written
-        policy's always are, are the one view of `data`."""
-        if self.items is not None:
-            return self.items
-        if not self.count:
-            return []
-        blocks = self.blocks()
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class JsonStream:
@@ -165,12 +135,13 @@ class JsonStream:
                     return value
             self.fill()
 
-    def items(self, close: str, read_item) -> None:
-        """Call read_item for each item of the array or object at pos."""
+    def items(self, close: str):
+        """Yield once for each item of the array or object at pos, with pos
+        at the item, which the caller decodes before the next."""
         self.pos += 1
         if self.peek() != close:
             while True:
-                read_item()
+                yield
                 if self.peek() == close:
                     break
                 self.expect(",")
@@ -179,25 +150,21 @@ class JsonStream:
 
     def member(self, doc: dict) -> None:
         """Decode one member of the top-level object into doc.  An array is
-        decoded one item at a time into `_Rows`: rows of numbers of one
-        length become a 2-D array, any other array a list."""
+        decoded one item at a time by `numeric_matrix`."""
         self.expect('"')
         key = self.value()
         self.expect(":")
         self.pos += 1
-        if self.peek() != "[":
-            doc[key] = self.value()
-            return
-        rows = _Rows()
-        self.items("]", lambda: rows.add(self.value()))
-        doc[key] = rows.value()
+        doc[key] = (numeric_matrix(self.value() for _ in self.items("]"))
+                    if self.peek() == "[" else self.value())
 
     def document(self):
         """The top-level value, which must be the whole text; an object is
         read member by member."""
         if self.peek() == "{":
             doc = {}
-            self.items("}", lambda: self.member(doc))
+            for _ in self.items("}"):
+                self.member(doc)
         else:
             doc = self.value()
         if self.peek():

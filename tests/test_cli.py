@@ -330,6 +330,18 @@ class TestSimulate:
         assert agg["completion_rate"] == 1.0
         assert agg["mean_remaining"] == 0.0
 
+    @pytest.mark.parametrize("price, grid, shown", [
+        ("60", [], "0..20 step 1"),
+        ("5", ["--min-price", "2", "--price-step", "2"], "2..20 step 2"),
+    ], ids=["above-max", "between-steps"])
+    def test_fixed_price_off_the_grid_exits_3(self, ws, monkeypatch, capsys, price, grid, shown):
+        monkeypatch.chdir(ws)
+        assert cli.main(["simulate", "--fixed-price", price, *PROB_FLAGS, *grid,
+                         "--trials", "10", "--out", "rep_off_grid.json"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: --fixed-price {price} is not on the price grid {shown}\n")
+        assert not (ws / "rep_off_grid.json").exists()
+
     def test_per_trial_json_and_csv(self, ws):
         r = run_cli(ws, "simulate", "--fixed-price", "4", "--tasks", "5",
                     "--deadline-hours", "1", "--intervals", "2",
@@ -1154,6 +1166,17 @@ class TestWriter:
         cli._emit(doc, None)
         assert capsys.readouterr().out == self.expected(doc)
 
+    def test_any_list_of_lists_is_written_one_row_per_line(self, capsys):
+        # the layout follows the shape alone: rows need not be numbers or of one length
+        doc = {"m": [[1, [2, "é"]], [], [{"b": None, "a": True}, 2.5]], "n": [[1, 2], [3]]}
+        cli._emit(doc, None)
+        out = capsys.readouterr().out
+        assert out == ('{\n  "m": [\n    [1, [2, "\\u00e9"]],\n    [],\n'
+                       '    [{"a": true, "b": null}, 2.5]\n  ],\n'
+                       '  "n": [\n    [1, 2],\n    [3]\n  ]\n}\n')
+        assert out == rows_layout(doc)
+        assert json.loads(out) == doc
+
     def test_peak_memory_is_independent_of_document_size(self, policy_doc, tmp_path):
         # the whole text of this document is about 3.5 MB
         tracemalloc.start()
@@ -1247,18 +1270,16 @@ def plain(value):
     return value
 
 
-def is_matrix(value) -> bool:
-    """Whether value is a non-empty list of equal-length lists of ints and floats."""
-    return (isinstance(value, list) and bool(value)
-            and all(isinstance(row, list) and len(row) == len(value[0])
-                    and all(type(x) in (int, float) for x in row) for row in value))
+def is_rows(value) -> bool:
+    """Whether value is a non-empty list of lists, whatever they hold."""
+    return isinstance(value, list) and bool(value) and all(isinstance(row, list) for row in value)
 
 
 def render(pairs, indent, ensure_ascii, matrix_rows=False) -> bytes:
     """The object json.dumps writes in the given layout, nested keys sorted,
     with the members in the given order and any repeated keys kept.  With
-    matrix_rows (and an indent), each member that is a matrix (`is_matrix`)
-    is written one row per line."""
+    matrix_rows (and an indent), each member that is a list of rows
+    (`is_rows`) is written one row per line, each row's keys sorted."""
     if indent is None:
         dump = functools.partial(json.dumps, separators=(",", ":"), ensure_ascii=ensure_ascii)
         text = "{" + ",".join(f"{dump(k)}:{dump(v)}" for k, v in pairs) + "}"
@@ -1268,8 +1289,9 @@ def render(pairs, indent, ensure_ascii, matrix_rows=False) -> bytes:
         pad = "\n" + " " * indent
 
         def member(v):
-            if matrix_rows and is_matrix(v):
-                return "[" + ",".join(pad + " " * indent + json.dumps(row) for row in v) + pad + "]"
+            if matrix_rows and is_rows(v):
+                rows = (json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) for row in v)
+                return "[" + ",".join(pad + " " * indent + row for row in rows) + pad + "]"
             return dump(v).replace(chr(10), pad)
 
         text = "{" + ",".join(f"{pad}{dump(k)}: {member(v)}" for k, v in pairs)
@@ -1279,8 +1301,8 @@ def render(pairs, indent, ensure_ascii, matrix_rows=False) -> bytes:
 
 def rows_layout(doc) -> str:
     """doc as json.dumps(doc, sort_keys=True, indent=2) writes it, but each
-    top-level matrix one row per line, and a final newline: what cli._emit
-    writes, rendered independently of it."""
+    top-level member that is a non-empty list of lists one row per line, and
+    a final newline: what cli._emit writes, rendered independently of it."""
     return render(sorted(doc.items()), 2, True, matrix_rows=True).decode()
 
 
@@ -1415,9 +1437,11 @@ class TestReader:
     def reference(member):
         """What the reader made of an array member before it decoded matrices
         into one buffer: each item through `_numeric_row`, then `np.stack`
-        if they form a matrix."""
+        if every item became a numpy row and all have one length."""
         rows = [jsonstream._numeric_row(item) for item in member]
-        return np.stack(rows) if jsonstream._is_matrix(rows) else rows
+        matrix = bool(rows) and all(
+            isinstance(row, np.ndarray) and len(row) == len(rows[0]) for row in rows)
+        return np.stack(rows) if matrix else rows
 
     @staticmethod
     def assert_identical(got, want):
@@ -1452,6 +1476,20 @@ class TestReader:
         path.write_text(f'{{"m": {member}, "n": 1}}')
         got = self.read(path, chunk)["m"]
         self.assert_identical(got, self.reference(json.loads(member)))
+
+    @pytest.mark.parametrize("edit", [
+        # JavaScript's JSON.stringify writes 0.0 as 0
+        lambda doc: doc["opt"].__setitem__(0, [0] * len(doc["opt"][0])),
+        lambda doc: doc.__setitem__("price", [np.array(row) for row in doc["price"]]),
+    ], ids=["int-opt-row", "numpy-price-rows"])
+    def test_policy_from_dict_reads_nested_lists_as_the_reader_does(self, ws, path, edit):
+        doc = load(ws, "pol.json")
+        edit(doc)
+        path.write_text(json.dumps(plain(doc)))
+        read = cli._read_json(str(path), {})
+        _, policy = deadline.policy_from_dict(doc)
+        for name in ("price", "opt"):
+            self.assert_identical(getattr(policy, name), read[name])
 
     def test_reading_holds_each_matrix_once(self, policy_doc, tmp_path):
         # rows go straight into one buffer per matrix, and the price grid
@@ -1531,7 +1569,7 @@ class TestPolicyInput:
         self.assert_rejected(ws, monkeypatch, capsys, self.edited(ws, edit), reason)
 
     @pytest.mark.parametrize("edit, reason", [
-        (lambda doc: doc["price"][5].pop(), "bad policy document"),
+        (lambda doc: doc["price"][5].pop(), "price is not a 13x6 matrix"),
         (lambda doc: doc["price"][4].__setitem__(2, "7"), "price is not a 13x6 matrix"),
         (lambda doc: doc["opt"][4].__setitem__(2, None), "opt is not a 13x7 matrix"),
         (lambda doc: doc["price"][4].__setitem__(2, {}), "price is not a 13x6 matrix"),
