@@ -31,6 +31,8 @@ import os
 import sys
 import tempfile
 import warnings
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import __version__
 from .budget import BudgetProblem, _allocation_entries, solve_static_exact, solve_static_lp
@@ -433,7 +435,9 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         _check_market(args.policy, problem, policy, _market(args, digests, members))
         report = simulate_deadline(problem, policy, config)
     else:
-        problem = _build_deadline_problem(args, digests)
+        with warnings.catch_warnings():  # a fixed price charges no penalty: none is too low
+            warnings.simplefilter("ignore", UserWarning)
+            problem = _build_deadline_problem(args, digests)
         with _bad_input(""):
             strategy = FixedPrice(args.fixed_price)
         if strategy.price not in (grid := problem.grid).prices():
@@ -579,66 +583,144 @@ def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly.
+# Parser assembly: `_build_parser` builds every parser from `_FLAGS` and
+# `_COMMANDS` in one loop.
 
 
-def _add_grid_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--max-price", action=_Noted, type=int, required=required,
-                   help="largest price in cents")
-    p.add_argument("--min-price", action=_Noted, type=int, default=0,
-                   help="smallest price in cents (default 0)")
-    p.add_argument("--price-step", action=_Noted, type=int, default=1,
-                   help="grid step in cents (default 1)")
-
-
-def _add_model_args(p: argparse.ArgumentParser, required: bool) -> None:
-    g = p.add_mutually_exclusive_group(required=required)
-    g.add_argument("--acceptance", action=_Noted, metavar="S,B,M",
-                   help="logistic acceptance parameters: scale, bias, market mass")
-    g.add_argument("--acceptance-table", action=_Noted, metavar="FILE",
-                   help="CSV 'price_cents,probability' giving p(c) per grid price")
-
-
-def _add_deadline_problem_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--tasks", action=_Noted, type=int, required=required,
-                   help="number of tasks")
-    p.add_argument("--deadline-hours", action=_Noted, type=float, required=required,
-                   help="horizon length")
-    p.add_argument("--intervals", action=_Noted, type=int, required=required,
-                   help="number of posting intervals in the horizon")
-    p.add_argument("--arrival-csv", action=_Noted, metavar="FILE", required=required,
-                   help="arrival CSV 't_seconds,count' at uniform spacing")
-    p.add_argument("--cumulative", action=_Noted, nargs=0, default=False,
-                   help="rows are remaining-task snapshots; use their decrements")
-    p.add_argument("--periodic", action=_Noted, nargs=0, default=False,
-                   help="repeat the profile beyond its span")
-    _add_model_args(p, required)
-    _add_grid_args(p, required)
-    p.add_argument("--epsilon", action=_Noted, type=float, default=1e-9,
-                   help="transition truncation level (default 1e-9; 0 disables)")
-    p.add_argument("--existence-alpha", action=_Noted, type=float, default=0.0,
-                   help="extra terminal penalty weight charged once if anything is unfinished")
-    p.add_argument("--start-offset", action=_Noted, type=int, default=0,
-                   help="seconds into the profile at which the horizon starts")
-    p.add_argument("--penalty", action=_Noted, type=float, default=None,
-                   help="terminal cost per unfinished task (default 10 * max price)")
-
-
-def _add_sim_config_args(p: argparse.ArgumentParser, trials_required: bool) -> None:
-    p.add_argument(
-        "--trials",
+# One row per distinct (flag, spec); a command may give a flag its own spec.
+_FLAGS = {
+    # the deadline-problem flags, each noted when the command line sets it
+    **{flag: {"action": _Noted, **spec} for flag, spec in {
+        "--tasks": dict(type=int, help="number of tasks"),
+        "--deadline-hours": dict(type=float, help="horizon length"),
+        "--intervals": dict(type=int, help="number of posting intervals in the horizon"),
+        "--arrival-csv": dict(metavar="FILE",
+                              help="arrival CSV 't_seconds,count' at uniform spacing"),
+        "--cumulative": dict(nargs=0, default=False,
+                             help="rows are remaining-task snapshots; use their decrements"),
+        "--periodic": dict(nargs=0, default=False, help="repeat the profile beyond its span"),
+        "--acceptance": dict(metavar="S,B,M",
+                             help="logistic acceptance parameters: scale, bias, market mass"),
+        "--acceptance-table": dict(
+            metavar="FILE", help="CSV 'price_cents,probability' giving p(c) per grid price"),
+        "--max-price": dict(type=int, help="largest price in cents"),
+        "--min-price": dict(type=int, default=0, help="smallest price in cents (default 0)"),
+        "--price-step": dict(type=int, default=1, help="grid step in cents (default 1)"),
+        "--epsilon": dict(type=float, default=1e-9,
+                          help="transition truncation level (default 1e-9; 0 disables)"),
+        "--existence-alpha": dict(
+            type=float, default=0.0,
+            help="extra terminal penalty weight charged once if anything is unfinished"),
+        "--start-offset": dict(type=int, default=0,
+                               help="seconds into the profile at which the horizon starts"),
+        "--penalty": dict(type=float,
+                          help="terminal cost per unfinished task (default 10 * max price)"),
+    }.items()},
+    "--bound": dict(type=float, help="calibrate the penalty so expected unfinished tasks "
+                    "stay within this bound (conflicts with --penalty)"),
+    "--bound-tol": dict(type=float, default=0.05,
+                        help="relative slack accepted below --bound (default 0.05)"),
+    "--solver": dict(choices=["simple", "efficient"], default="efficient",
+                     help="price search strategy (identical output)"),
+    "--budget": dict(type=int, help="total budget in cents"),
+    "--exact": dict(action="store_true", help="integer-exact allocation by dynamic programming"),
+    "--mean-rate": dict(
+        type=float, default=6000.0,
+        help="worker arrivals per hour for the latency conversion (default 6000)"),
+    "--policy": dict(metavar="FILE", help="policy JSON from solve-deadline"),
+    "--fixed-price": dict(type=int, help="constant price in cents"),
+    "--alloc": dict(metavar="FILE", help="allocation JSON from solve-budget"),
+    "--trials": dict(type=int, help="number of Monte Carlo trials"),
+    "--seed": dict(type=int, default=0, help="base RNG seed (default 0)"),
+    "--parallel": dict(action="store_true", help="accepted for compatibility; trials always "
+                       "run in vectorized blocks (same results as serial)"),
+    "--per-trial": dict(action="store_true", help="include per-trial rows in the JSON"),
+    "--csv": dict(metavar="FILE", help="also write per-trial rows as CSV"),
+    "--confidence": dict(type=float, default=0.999,
+                         help="completion probability target (default 0.999)"),
+    "--compare-policy": dict(metavar="FILE",
+                             help="policy JSON to compute the cost reduction against"),
+    "--period-buckets": dict(
         type=int,
-        required=trials_required,
-        default=None,
-        help="number of Monte Carlo trials",
-    )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="accepted for compatibility; trials always run in vectorized "
-        "blocks (same results as serial)",
-    )
+        help="fold onto this many buckets and average (required for multiple CSVs)"),
+    "--csv-out": dict(metavar="FILE", help="also write the fitted profile as an arrival CSV"),
+    "--task-type": dict(help="task type whose intercept to use (required with multiple types)"),
+    "--task-seconds": dict(type=float, help="seconds of work per task"),
+    "--market-total": dict(type=float, help="market-wide task completions per hour"),
+    "--mass-normalization": dict(type=float, default=360.0,
+                                 help="seconds used to normalize the competing mass "
+                                 "(default 360; p(c) is invariant to this)"),
+    "--alpha": dict(type=float, help="delay cost in cents per interval (fixed-rate) or per "
+                    "hour (arrival)"),
+    "--variant": dict(choices=["fixed-rate", "arrival"],
+                      help="market abstraction for the delay term"),
+    "--rate": dict(type=float, help="workers per interval (fixed-rate) or per hour (arrival)"),
+}
+
+_MODEL = ("--acceptance", "--acceptance-table")
+_GRID = (_MODEL, "--max-price", "--min-price", "--price-step")
+_PROBLEM = ("--tasks", "--deadline-hours", "--intervals", "--arrival-csv", "--cumulative",
+            "--periodic", *_GRID, "--epsilon", "--existence-alpha", "--start-offset",
+            "--penalty")
+_PROBLEM_REQUIRED = ("--tasks", "--deadline-hours", "--intervals", "--arrival-csv", _MODEL,
+                     "--max-price")
+_STRATEGY = ("--policy", "--fixed-price", "--alloc")
+_SIM_CONFIG = ("--trials", "--seed", "--parallel")
+
+
+class _Command(NamedTuple):
+    """One parser: its help and, for a command that runs, its handler, the
+    help of its `--out` (its last flag), its flags in help order, the flags
+    and groups it requires, and its own specs in place of rows of `_FLAGS`.
+    A parser without a handler holds the commands whose names extend its own."""
+
+    help: str
+    func: Callable | None = None
+    out: str = ""
+    flags: tuple = ()
+    required: tuple = ()
+    own: dict = {}
+
+
+# One row per parser, in help order.  A command lists its flags in help order,
+# and a tuple of flags is one mutually exclusive group.
+_COMMANDS = {
+    "solve-deadline": _Command(
+        "compute the cost-minimal dynamic pricing policy for a deadline", _cmd_solve_deadline,
+        "policy JSON path", (*_PROBLEM, "--bound", "--bound-tol", "--solver"),
+        _PROBLEM_REQUIRED),
+    "solve-budget": _Command(
+        "allocate a fixed budget over tasks to minimize latency", _cmd_solve_budget,
+        "allocation JSON path", ("--tasks", "--budget", *_GRID, "--exact", "--mean-rate"),
+        ("--tasks", "--budget", _MODEL, "--max-price")),
+    "simulate": _Command(
+        "Monte Carlo a policy, a fixed price, or an allocation", _cmd_simulate,
+        "report JSON path", (_STRATEGY, *_PROBLEM, *_SIM_CONFIG, "--per-trial", "--csv"),
+        (_STRATEGY, "--trials")),
+    "baseline": _Command(
+        "cheapest fixed price meeting a completion-probability target", _cmd_baseline,
+        "report JSON path", (*_PROBLEM, "--confidence", "--compare-policy", *_SIM_CONFIG),
+        _PROBLEM_REQUIRED),
+    "fit": _Command("estimate market inputs from observation CSVs"),
+    "fit arrival": _Command(
+        "arrival profile from traffic CSVs", _cmd_fit_arrival, "profile JSON path",
+        ("--csv", "--cumulative", "--period-buckets", "--periodic", "--csv-out"), ("--csv",),
+        {"--csv": dict(metavar="FILE", action="append", help="arrival CSV (repeatable)"),
+         "--cumulative": dict(action="store_true",
+                              help="rows are remaining-task snapshots; use their decrements"),
+         "--periodic": dict(action="store_true", help="mark a single-CSV profile as repeating")}),
+    "fit acceptance": _Command(
+        "logistic acceptance model from task-group observations", _cmd_fit_acceptance,
+        "model JSON path",
+        ("--csv", "--task-type", "--task-seconds", "--market-total", "--mass-normalization"),
+        ("--csv", "--task-seconds", "--market-total"),
+        {"--csv": dict(metavar="FILE",
+                       help="CSV 'wage_per_second,workload_per_hour,task_type'")}),
+    "tradeoff": _Command(
+        "price the cost/completion-time tradeoff without a deadline", _cmd_tradeoff,
+        "solution JSON path", ("--tasks", "--alpha", "--variant", "--rate", *_GRID),
+        ("--tasks", "--alpha", "--variant", "--rate", _MODEL, "--max-price")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -649,195 +731,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "market model fitting.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser(
-        "solve-deadline",
-        help="compute the cost-minimal dynamic pricing policy for a deadline",
-    )
-    _add_deadline_problem_args(sp, required=True)
-    sp.add_argument(
-        "--bound",
-        type=float,
-        default=None,
-        help="calibrate the penalty so expected unfinished tasks stay within "
-        "this bound (conflicts with --penalty)",
-    )
-    sp.add_argument(
-        "--bound-tol",
-        type=float,
-        default=0.05,
-        help="relative slack accepted below --bound (default 0.05)",
-    )
-    sp.add_argument(
-        "--solver",
-        choices=["simple", "efficient"],
-        default="efficient",
-        help="price search strategy (identical output)",
-    )
-    sp.add_argument("--out", metavar="FILE", default=None, help="policy JSON path")
-    sp.set_defaults(func=_cmd_solve_deadline, _parser=sp)
-
-    sp = sub.add_parser(
-        "solve-budget", help="allocate a fixed budget over tasks to minimize latency"
-    )
-    sp.add_argument("--tasks", type=int, required=True, help="number of tasks")
-    sp.add_argument("--budget", type=int, required=True, help="total budget in cents")
-    _add_model_args(sp, required=True)
-    _add_grid_args(sp, required=True)
-    sp.add_argument(
-        "--exact",
-        action="store_true",
-        help="integer-exact allocation by dynamic programming",
-    )
-    sp.add_argument(
-        "--mean-rate",
-        type=float,
-        default=6000.0,
-        help="worker arrivals per hour for the latency conversion (default 6000)",
-    )
-    sp.add_argument("--out", metavar="FILE", default=None, help="allocation JSON path")
-    sp.set_defaults(func=_cmd_solve_budget, _parser=sp)
-
-    sp = sub.add_parser(
-        "simulate", help="Monte Carlo a policy, a fixed price, or an allocation"
-    )
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--policy", metavar="FILE", help="policy JSON from solve-deadline")
-    g.add_argument("--fixed-price", type=int, help="constant price in cents")
-    g.add_argument("--alloc", metavar="FILE", help="allocation JSON from solve-budget")
-    _add_deadline_problem_args(sp, required=False)
-    _add_sim_config_args(sp, trials_required=True)
-    sp.add_argument(
-        "--per-trial", action="store_true", help="include per-trial rows in the JSON"
-    )
-    sp.add_argument(
-        "--csv", metavar="FILE", default=None, help="also write per-trial rows as CSV"
-    )
-    sp.add_argument("--out", metavar="FILE", default=None, help="report JSON path")
-    sp.set_defaults(func=_cmd_simulate, _parser=sp)
-
-    sp = sub.add_parser(
-        "baseline",
-        help="cheapest fixed price meeting a completion-probability target",
-    )
-    _add_deadline_problem_args(sp, required=True)
-    sp.add_argument(
-        "--confidence",
-        type=float,
-        default=0.999,
-        help="completion probability target (default 0.999)",
-    )
-    sp.add_argument(
-        "--compare-policy",
-        metavar="FILE",
-        default=None,
-        help="policy JSON to compute the cost reduction against",
-    )
-    _add_sim_config_args(sp, trials_required=False)
-    sp.add_argument("--out", metavar="FILE", default=None, help="report JSON path")
-    sp.set_defaults(func=_cmd_baseline, _parser=sp)
-
-    sp = sub.add_parser("fit", help="estimate market inputs from observation CSVs")
-    fit_sub = sp.add_subparsers(dest="fit_command", required=True, metavar="WHAT")
-
-    fp = fit_sub.add_parser("arrival", help="arrival profile from traffic CSVs")
-    fp.add_argument(
-        "--csv",
-        metavar="FILE",
-        action="append",
-        required=True,
-        help="arrival CSV (repeatable)",
-    )
-    fp.add_argument(
-        "--cumulative",
-        action="store_true",
-        help="rows are remaining-task snapshots; use their decrements",
-    )
-    fp.add_argument(
-        "--period-buckets",
-        type=int,
-        default=None,
-        help="fold onto this many buckets and average (required for multiple CSVs)",
-    )
-    fp.add_argument(
-        "--periodic",
-        action="store_true",
-        help="mark a single-CSV profile as repeating",
-    )
-    fp.add_argument(
-        "--csv-out",
-        metavar="FILE",
-        default=None,
-        help="also write the fitted profile as an arrival CSV",
-    )
-    fp.add_argument("--out", metavar="FILE", default=None, help="profile JSON path")
-    fp.set_defaults(func=_cmd_fit_arrival, _command="fit-arrival", _parser=fp)
-
-    fp = fit_sub.add_parser(
-        "acceptance", help="logistic acceptance model from task-group observations"
-    )
-    fp.add_argument(
-        "--csv",
-        metavar="FILE",
-        required=True,
-        help="CSV 'wage_per_second,workload_per_hour,task_type'",
-    )
-    fp.add_argument(
-        "--task-type",
-        default=None,
-        help="task type whose intercept to use (required with multiple types)",
-    )
-    fp.add_argument(
-        "--task-seconds",
-        type=float,
-        required=True,
-        help="seconds of work per task",
-    )
-    fp.add_argument(
-        "--market-total",
-        type=float,
-        required=True,
-        help="market-wide task completions per hour",
-    )
-    fp.add_argument(
-        "--mass-normalization",
-        type=float,
-        default=360.0,
-        help="seconds used to normalize the competing mass (default 360; "
-        "p(c) is invariant to this)",
-    )
-    fp.add_argument("--out", metavar="FILE", default=None, help="model JSON path")
-    fp.set_defaults(func=_cmd_fit_acceptance, _command="fit-acceptance", _parser=fp)
-
-    sp = sub.add_parser(
-        "tradeoff",
-        help="price the cost/completion-time tradeoff without a deadline",
-    )
-    sp.add_argument("--tasks", type=int, required=True, help="number of tasks")
-    sp.add_argument(
-        "--alpha",
-        type=float,
-        required=True,
-        help="delay cost in cents per interval (fixed-rate) or per hour (arrival)",
-    )
-    sp.add_argument(
-        "--variant",
-        choices=["fixed-rate", "arrival"],
-        required=True,
-        help="market abstraction for the delay term",
-    )
-    sp.add_argument(
-        "--rate",
-        type=float,
-        required=True,
-        help="workers per interval (fixed-rate) or per hour (arrival)",
-    )
-    _add_model_args(sp, required=True)
-    _add_grid_args(sp, required=True)
-    sp.add_argument("--out", metavar="FILE", default=None, help="solution JSON path")
-    sp.set_defaults(func=_cmd_tradeoff, _parser=sp)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
+    for name, command in _COMMANDS.items():
+        parent, _, word = name.rpartition(" ")
+        sp = subparsers[parent].add_parser(word, help=command.help)
+        if command.func is None:
+            subparsers[name] = sp.add_subparsers(dest=f"{name}_command", required=True,
+                                                 metavar="WHAT")
+            continue
+        for entry in command.flags:
+            group = (sp.add_mutually_exclusive_group(required=entry in command.required)
+                     if isinstance(entry, tuple) else sp)
+            for flag in entry if isinstance(entry, tuple) else (entry,):
+                group.add_argument(flag, required=flag in command.required,
+                                   **command.own.get(flag, _FLAGS[flag]))
+        sp.add_argument("--out", metavar="FILE", help=command.out)
+        sp.set_defaults(func=command.func, _command=name.replace(" ", "-"), _parser=sp)
     return parser
 
 
@@ -853,10 +762,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_outputs(args, ["--out", *(flag for *_, flag in side_files)])
         doc["schema_version"] = SCHEMA_VERSION
         doc["manifest"] = {
-            # nested subparsers cannot overwrite `command` (argparse only
-            # applies a parser default when the attribute is absent), so fit
-            # subcommands carry their name in _command instead
-            "command": getattr(args, "_command", args.command),
+            "command": args._command,
             "resolved_parameters": {
                 k: v
                 for k, v in vars(args).items()

@@ -55,6 +55,24 @@ def exit_code(argv):
         return exc.code
 
 
+def parsers(parser=None):
+    """Each parser that `cli._build_parser` builds, by the name of its help
+    snapshot: `root`, or its command words joined by '-'."""
+    parser = parser or cli._build_parser()
+    found = {"-".join(parser.prog.split()[1:]) or "root": parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= parsers(sub)
+    return found
+
+
+def noted_flags(command):
+    """The flags of `command` that `cli._Noted` records as given."""
+    return {a.option_strings[0] for a in parsers()[command]._actions
+            if isinstance(a, cli._Noted)}
+
+
 def load(ws, name):
     return json.loads((ws / name).read_text())
 
@@ -124,7 +142,7 @@ class TestTopLevel:
         assert r.returncode == 2
         assert "usage:" in r.stderr
 
-    @pytest.mark.parametrize("golden, argv", [
+    HELP = [
         ("root.txt", ["--help"]),
         ("solve-deadline.txt", ["solve-deadline", "--help"]),
         ("solve-budget.txt", ["solve-budget", "--help"]),
@@ -134,11 +152,20 @@ class TestTopLevel:
         ("fit.txt", ["fit", "--help"]),
         ("fit-arrival.txt", ["fit", "arrival", "--help"]),
         ("fit-acceptance.txt", ["fit", "acceptance", "--help"]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("golden, argv", HELP)
     def test_help_matches_snapshot(self, ws, golden, argv):
         r = run_cli(ws, *argv)
         assert r.returncode == 0
         assert r.stdout == (HELP_DIR / golden).read_text()
+
+    def test_one_snapshot_per_parser(self):
+        # a parser added to the command table needs a snapshot, and the
+        # snapshot a case above
+        snapshots = sorted(path.name for path in HELP_DIR.iterdir())
+        assert snapshots == sorted(f"{name}.txt" for name in parsers())
+        assert snapshots == sorted(golden for golden, _ in self.HELP)
 
 
 class TestSolveDeadline:
@@ -646,9 +673,14 @@ class TestSimulateFlags:
     ALONGSIDE = {("fixed-price", "--periodic"): ["--deadline-hours", "3"]}
 
     def test_values_cover_every_problem_flag(self):
-        parser = argparse.ArgumentParser()
-        cli._add_deadline_problem_args(parser, required=False)
-        assert set(self.VALUES) == {a.option_strings[0] for a in parser._actions[1:]}
+        assert set(self.VALUES) == noted_flags("simulate")
+
+    @pytest.mark.parametrize("command", ["solve-deadline", "simulate", "baseline"])
+    def test_market_flags_are_noted_problem_flags(self, command):
+        # a flag misspelt in `_MARKET` or in the parser's table fails here,
+        # not with exit 2 at run time
+        market = {flag for member in cli._MARKET for flag in cli._flags(member)}
+        assert market <= noted_flags(command)
 
     @staticmethod
     def outcome(argv):
@@ -1101,6 +1133,16 @@ class TestWarnings:
         r = run_cli(ws, *argv, "--out", "warned.json")
         assert r.returncode == 0
         assert r.stderr == f"warning: {message}\n"
+
+    def test_a_fixed_price_run_is_not_warned_about_the_penalty(self, ws):
+        # a fixed price charges no penalty; a solve on the same flags does
+        flags = [*PROB_FLAGS, "--penalty", "5"]
+        fixed = run_cli(ws, "simulate", "--fixed-price", "10", *flags, "--trials", "10",
+                        "--out", "fixed.json")
+        solved = run_cli(ws, "solve-deadline", *flags, "--out", "warned.json")
+        assert (fixed.returncode, fixed.stderr) == (0, "")
+        assert (solved.returncode, solved.stderr) == (
+            0, "warning: penalty 5.0 below grid.max_price 20: top prices can never pay off\n")
 
     def test_main_restores_the_formatter(self, ws, monkeypatch, capsys):
         before = warnings.formatwarning
