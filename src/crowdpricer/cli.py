@@ -1,18 +1,18 @@
 """Command line front end.
 
-Every command runs through one pipeline in `main`.  A command's handler
-reads its inputs, recording the sha256 of each input file, and returns its
-document, the files written beside it (`simulate --csv`, `fit arrival
---csv-out`) and its summary lines.  The pipeline embeds a run manifest
-(command name, resolved parameters, input digests, tool version) in the
-document and writes it as indented JSON with sorted keys, a list of lists
-(`price`) one row per line (`jsonstream.write_document`), so re-running the
-same invocation on the same inputs yields byte-identical output; then it
-writes the side files, and prints the summary only when the document went
-to a file.  `errors._bad_input` turns a reader's or a constructor's exception
-into bad input data, and `_read_document` names the file in every error
-about a policy or allocation document.  A warning prints as one
-`warning: <message>` line.
+Every command runs through one pipeline in `main`.  It exits 2 if an output
+path names an input or another output; then the command's handler reads its
+inputs, recording the sha256 of each input file, and returns its document,
+the object its side output writes (`_Command.side`) or None, and its summary
+lines.  The pipeline embeds a run manifest (command name, resolved
+parameters, input digests, tool version) in the document and writes it as
+indented JSON with sorted keys, a list of lists (`price`) one row per line
+(`jsonstream.write_document`), so re-running the same invocation on the same
+inputs yields byte-identical output; then the side output, each file by
+`_write`, and prints the summary only when the document went to a file.
+`errors._bad_input` makes a reader's or a constructor's exception bad input
+data, and `_read_document` names the file in every error about a policy or
+allocation document.  A warning prints as one `warning: <message>` line.
 
 Exit codes: 0 success, 2 bad command line, 3 bad input data, 4 infeasible
 instance, 5 anything else.
@@ -21,13 +21,14 @@ instance, 5 anything else.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -159,16 +160,6 @@ def _allocation_from_dict(doc: dict):
         return entries, model_from_dict(doc["problem"]["model"])
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """Re-raise an OSError from the block as a failure (exit 5) to write
-    `path`, the file the user named, whatever file the error names."""
-    try:
-        yield
-    except OSError as exc:
-        raise CrowdPricerError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _value(args: argparse.Namespace, flag: str):
     """The value of `flag`, or None where the command has no such flag."""
     return getattr(args, flag.lstrip("-").replace("-", "_"), None)
@@ -200,29 +191,40 @@ def _check_outputs(args: argparse.Namespace, outputs) -> None:
                 args._parser.error(f"{flag} and {other} name the same file: {path}")
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    """Write doc with `jsonstream.write_document` to stdout or to `out`.  A
-    file is written under a temporary name beside it and renamed into place,
-    so an encoding error leaves neither a partial document nor a clobbered
-    one; a file that cannot be written is named as `out`, not by the
-    temporary name."""
-    if out is None:
-        write_document(doc, sys.stdout)
-        return
-    with _writing(out):
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{os.path.basename(out)}.", suffix=".tmp", dir=os.path.dirname(out) or "."
-        )
+def _write(path: str, fill: Callable[[str], None]) -> None:
+    """Write `path` by `fill(name)`, which writes the file `name`.  A regular
+    file, or a path that does not exist yet, is filled under a temporary name
+    beside it and renamed into place, so a failure leaves neither a partial
+    file nor a clobbered one.  A symlink, pipe or device is filled in place,
+    as the shell's `>` fills it: the link is kept and a pipe's reader gets the
+    bytes.  An OSError is a failure (exit 5) to write `path` as given."""
+    try:
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            return fill(path)  # a directory fails here with EISDIR
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
         try:
-            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                write_document(doc, fh)
-            umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
-            os.umask(umask)
+            os.close(fd)
+            os.umask(umask := os.umask(0))  # mkstemp made the file 0600; give it open()'s mode
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, out)
+            fill(tmp)
+            os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
+    except OSError as exc:
+        raise CrowdPricerError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(doc: dict, out: str | None) -> None:
+    """Write doc with `jsonstream.write_document` to stdout, or to `out` by `_write`."""
+    def fill(path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_document(doc, fh)
+    if out is None:
+        write_document(doc, sys.stdout)
+    else:
+        _write(out, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +328,8 @@ def _check_market(path: str, problem: DeadlineProblem, policy, market: dict) -> 
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (flags, input digests) -> (document, side files as
-# (writer, object, output flag), summary lines).
+# Subcommand handlers: (flags, input digests) -> (document, the object that
+# the command's side writer writes or None, summary lines).
 
 
 def _cmd_solve_deadline(args: argparse.Namespace, digests: dict[str, str]):
@@ -367,7 +369,7 @@ def _cmd_solve_deadline(args: argparse.Namespace, digests: dict[str, str]):
     ]
     if calibration is not None:
         summary.append(f"calibration_achieved: {calibration['achieved']:.6g}")
-    return doc, (), summary
+    return doc, None, summary
 
 
 def _cmd_solve_budget(args: argparse.Namespace, digests: dict[str, str]):
@@ -407,7 +409,7 @@ def _cmd_solve_budget(args: argparse.Namespace, digests: dict[str, str]):
             "gap": lp.expected_workers - alloc.expected_workers,
         }
         summary.append(f"lp_gap_expected_workers: {doc['lp_comparison']['gap']:.6f}")
-    return doc, (), summary
+    return doc, None, summary
 
 
 def _sim_config(args: argparse.Namespace) -> SimulationConfig:
@@ -455,7 +457,7 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
     ]
     if agg["mean_completion_seconds"] is not None:
         summary.append(f"mean_completion_seconds: {agg['mean_completion_seconds']:.3f}")
-    return doc, [(write_trials_csv, report, "--csv")], summary
+    return doc, report, summary
 
 
 def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
@@ -497,7 +499,7 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     if config is not None:
         report = simulate_deadline(problem, FixedPrice(price), config)
         doc["simulation"] = report_to_dict(report)
-    return doc, (), summary
+    return doc, None, summary
 
 
 def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
@@ -521,7 +523,7 @@ def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
         f"buckets: {len(profile.rates)} x {profile.bucket_seconds}s",
         f"mean_rate_per_hour: {profile.mean_rate_per_hour():.6f}",
     ]
-    return doc, [(write_arrival_csv, profile, "--csv-out")], summary
+    return doc, profile, summary
 
 
 def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
@@ -546,7 +548,7 @@ def _cmd_fit_acceptance(args: argparse.Namespace, digests: dict[str, str]):
         f"model: logistic scale_s={m.scale_s:.6f} bias_b={m.bias_b:.6f} "
         f"market_mass_m={m.market_mass_m:.6f}",
     ]
-    return doc, (), summary
+    return doc, None, summary
 
 
 def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
@@ -579,7 +581,7 @@ def _cmd_tradeoff(args: argparse.Namespace, digests: dict[str, str]):
         f"price_at_{n}_remaining: {int(solution.prices[n])}",
         f"total_expected_cost_cents: {float(solution.values[n]):.6f}",
     ]
-    return doc, (), summary
+    return doc, None, summary
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +673,8 @@ _SIM_CONFIG = ("--trials", "--seed", "--parallel")
 class _Command(NamedTuple):
     """One parser: its help and, for a command that runs, its handler, the
     help of its `--out` (its last flag), its flags in help order, the flags
-    and groups it requires, and its own specs in place of rows of `_FLAGS`.
+    and groups it requires, its own specs in place of rows of `_FLAGS`, and
+    its side output as (flag, writer of the object the handler returns).
     A parser without a handler holds the commands whose names extend its own."""
 
     help: str
@@ -680,6 +683,7 @@ class _Command(NamedTuple):
     flags: tuple = ()
     required: tuple = ()
     own: dict = {}
+    side: tuple = ()
 
 
 # One row per parser, in help order.  A command lists its flags in help order,
@@ -696,7 +700,7 @@ _COMMANDS = {
     "simulate": _Command(
         "Monte Carlo a policy, a fixed price, or an allocation", _cmd_simulate,
         "report JSON path", (_STRATEGY, *_PROBLEM, *_SIM_CONFIG, "--per-trial", "--csv"),
-        (_STRATEGY, "--trials")),
+        (_STRATEGY, "--trials"), side=("--csv", write_trials_csv)),
     "baseline": _Command(
         "cheapest fixed price meeting a completion-probability target", _cmd_baseline,
         "report JSON path", (*_PROBLEM, "--confidence", "--compare-policy", *_SIM_CONFIG),
@@ -708,7 +712,8 @@ _COMMANDS = {
         {"--csv": dict(metavar="FILE", action="append", help="arrival CSV (repeatable)"),
          "--cumulative": dict(action="store_true",
                               help="rows are remaining-task snapshots; use their decrements"),
-         "--periodic": dict(action="store_true", help="mark a single-CSV profile as repeating")}),
+         "--periodic": dict(action="store_true", help="mark a single-CSV profile as repeating")},
+        ("--csv-out", write_arrival_csv)),
     "fit acceptance": _Command(
         "logistic acceptance model from task-group observations", _cmd_fit_acceptance,
         "model JSON path",
@@ -746,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 group.add_argument(flag, required=flag in command.required,
                                    **command.own.get(flag, _FLAGS[flag]))
         sp.add_argument("--out", metavar="FILE", help=command.out)
-        sp.set_defaults(func=command.func, _command=name.replace(" ", "-"), _parser=sp)
+        sp.set_defaults(_run=command, _command=name.replace(" ", "-"), _parser=sp)
     return parser
 
 
@@ -758,24 +763,19 @@ def main(argv: list[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         digests: dict[str, str] = {}
-        doc, side_files, summary = args.func(args, digests)
-        _check_outputs(args, ["--out", *(flag for *_, flag in side_files)])
+        _check_outputs(args, ["--out", *args._run.side[:1]])
+        doc, side, summary = args._run.func(args, digests)
         doc["schema_version"] = SCHEMA_VERSION
         doc["manifest"] = {
             "command": args._command,
-            "resolved_parameters": {
-                k: v
-                for k, v in vars(args).items()
-                if not k.startswith("_") and k not in ("func", "command")
-            },
+            "resolved_parameters": {k: v for k, v in vars(args).items()
+                                    if not k.startswith("_") and k != "command"},
             "input_digests": digests,
             "tool_version": __version__,
         }
         _emit(doc, args.out)
-        for write, obj, flag in side_files:
-            if (path := _value(args, flag)) is not None:
-                with _writing(path):
-                    write(obj, path)
+        if side is not None and (path := _value(args, args._run.side[0])) is not None:
+            _write(path, functools.partial(args._run.side[1], side))
         # the human summary goes to stdout only when the document went to a file
         if args.out is not None:
             for line in summary:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, _bad_input
-from .market import ArrivalProfile, LogisticAcceptance, TabulatedAcceptance
+from .market import ArrivalProfile, LogisticAcceptance, TabulatedAcceptance, _require_int
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def fit_periodic_profile(
     """
     if not profiles:
         raise ValueError("need at least one profile")
-    if period_buckets < 1:
+    if (period_buckets := _require_int("period_buckets", period_buckets)) < 1:
         raise DomainError(f"period_buckets must be >= 1, got {period_buckets}")
     bucket = profiles[0].bucket_seconds
     folded = []

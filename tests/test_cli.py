@@ -6,9 +6,11 @@ import errno
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -1389,6 +1391,81 @@ class TestOutputPaths:
         err = capsys.readouterr().err.splitlines()[-1]
         assert f"error: {flags[0]} and {flags[1]} name the same file" in err
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+    def test_exits_2_before_the_command_runs(self, ws, tmp_path, monkeypatch, capsys):
+        def unreachable(problem):
+            raise AssertionError("the solver ran")
+
+        for name in ("arr.csv", "tab.csv"):
+            (tmp_path / name).write_bytes((ws / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "solve_efficient", unreachable)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve-deadline", *PROB_FLAGS, "--out", "arr.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith("error: --out and --arrival-csv name the same file: arr.csv")
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+class TestOutputKinds:
+    """Every output (`--out`, `simulate --csv`, `fit arrival --csv-out`) is
+    written by `cli._write`: a regular file is replaced whole or not at all,
+    and a pipe or a symlink is written in place, the pipe's reader getting
+    the bytes a file gets and the link kept."""
+
+    ARGV = ["solve-deadline", *PROB_FLAGS, "--out"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_gets_the_bytes_a_file_gets(self, ws, tmp_path, monkeypatch):
+        monkeypatch.chdir(ws)
+        out = tmp_path / "pol.json"
+        assert cli.main([*self.ARGV, str(out)]) == 0
+        want = out.read_bytes()
+        out.unlink()
+        os.mkfifo(out)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(out.read_bytes()), daemon=True)
+        reader.start()
+        assert cli.main([*self.ARGV, str(out)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [want]
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pol.json"]
+
+    def test_a_symlink_is_kept_and_its_target_written(self, ws, tmp_path, monkeypatch):
+        monkeypatch.chdir(ws)
+        link, target = tmp_path / "pol.json", tmp_path / "target.json"
+        assert cli.main([*self.ARGV, str(link)]) == 0
+        want = link.read_bytes()
+        link.unlink()
+        target.write_text("{}")
+        link.symlink_to(target)
+        assert cli.main([*self.ARGV, str(link)]) == 0
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pol.json", "target.json"]
+
+    def test_a_csv_that_fails_midway_keeps_the_earlier_csv(self, ws, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.chdir(ws)
+        csv = tmp_path / "trials.csv"
+        csv.write_text("earlier\n")
+        rows = simulate.SimulationReport._rows
+
+        def full_disk(report):
+            yield from itertools.islice(rows(report), 5)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(simulate.SimulationReport, "_rows", full_disk)
+        assert cli.main(["simulate", "--policy", "pol.json", "--trials", "50",
+                         "--csv", str(csv)]) == 5
+        assert capsys.readouterr().err.endswith(
+            f"error: cannot write {csv}: {os.strerror(errno.ENOSPC)}\n")
+        assert csv.read_text() == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
 
 
 class TestReader:

@@ -168,6 +168,17 @@ class TestFitPeriodicProfile:
         with pytest.raises(DomainError, match="period_buckets must be >= 1, got 0"):
             fit_periodic_profile([ArrivalProfile(600, (1.0, 2.0))], 0)
 
+    @pytest.mark.parametrize("period", [True, 2.0, 2.5, "2"])
+    def test_period_that_is_not_an_integer_is_a_domain_error(self, period):
+        # True would fold as a period of 1; the others raised bare TypeErrors
+        with pytest.raises(DomainError) as info:
+            fit_periodic_profile([ArrivalProfile(600, (1.0, 2.0))], period)
+        assert str(info.value) == f"period_buckets must be an integer, got {period!r}"
+
+    def test_numpy_integer_period(self):
+        prof = ArrivalProfile(600, (1.0, 2.0, 3.0, 4.0))
+        assert fit_periodic_profile([prof], np.int64(2)).rates == (2.0, 3.0)
+
 
 class TestLoadObservationsCsv:
     def test_parses_rows(self, tmp_path):
