@@ -21,9 +21,9 @@ instance, 5 anything else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import gc
 import hashlib
 import json
 import math
@@ -255,12 +255,9 @@ def _build_grid(args: argparse.Namespace) -> PriceGrid:
         )
 
 
-def _load_profile(args: argparse.Namespace, digests: dict[str, str]) -> ArrivalProfile:
-    profile = _read_csv(load_arrival_csv, args.arrival_csv, digests,
-                        cumulative_snapshot=args.cumulative)
-    if args.periodic:
-        profile = dataclasses.replace(profile, periodic=True)
-    return profile
+def _load_profile(args: argparse.Namespace, path: str, digests: dict[str, str]) -> ArrivalProfile:
+    profile = _read_csv(load_arrival_csv, path, digests, cumulative_snapshot=args.cumulative)
+    return dataclasses.replace(profile, periodic=True) if args.periodic else profile
 
 
 def _interval_seconds(deadline_hours: float, intervals: int) -> int:
@@ -297,7 +294,7 @@ def _market(args: argparse.Namespace, digests: dict[str, str], members=_MARKET) 
         "n_intervals": lambda: args.intervals,
         "interval_seconds": lambda: _interval_seconds(args.deadline_hours, args.intervals),
         "start_offset_seconds": lambda: args.start_offset,
-        "profile": lambda: _load_profile(args, digests),
+        "profile": lambda: _load_profile(args, args.arrival_csv, digests),
         "model": lambda: _build_model(args, digests),
     }
     with _bad_input("bad problem: "):
@@ -316,6 +313,13 @@ def _build_deadline_problem(
             existence_alpha=args.existence_alpha,
             epsilon=args.epsilon,
         )
+
+
+def _unpenalized_problem(args: argparse.Namespace, digests: dict[str, str]) -> DeadlineProblem:
+    """The deadline problem of a run that charges no penalty and so is not warned about it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return _build_deadline_problem(args, digests)
 
 
 def _check_market(path: str, problem: DeadlineProblem, policy, market: dict) -> None:
@@ -427,7 +431,7 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         if args.arrival_csv is None:
             args._parser.error("--alloc needs --arrival-csv for worker arrivals")
         entries, model = _read_document(args.alloc, digests, _allocation_from_dict)
-        profile = _load_profile(args, digests)
+        profile = _load_profile(args, args.arrival_csv, digests)
         report = simulate_budget(entries, profile, model, config)
     elif args.policy is not None:
         problem, policy = _read_document(args.policy, digests, policy_from_dict)
@@ -437,9 +441,7 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
         _check_market(args.policy, problem, policy, _market(args, digests, members))
         report = simulate_deadline(problem, policy, config)
     else:
-        with warnings.catch_warnings():  # a fixed price charges no penalty: none is too low
-            warnings.simplefilter("ignore", UserWarning)
-            problem = _build_deadline_problem(args, digests)
+        problem = _unpenalized_problem(args, digests)
         with _bad_input(""):
             strategy = FixedPrice(args.fixed_price)
         if strategy.price not in (grid := problem.grid).prices():
@@ -462,7 +464,7 @@ def _cmd_simulate(args: argparse.Namespace, digests: dict[str, str]):
 
 def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
     config = None if args.trials is None else _sim_config(args)
-    problem = _build_deadline_problem(args, digests)
+    problem = _unpenalized_problem(args, digests)
     if args.compare_policy is not None:  # a mismatch exits before the baseline's scan
         other_problem, other_policy = _read_document(args.compare_policy, digests,
                                                      policy_from_dict)
@@ -505,10 +507,7 @@ def _cmd_baseline(args: argparse.Namespace, digests: dict[str, str]):
 def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
     if args.period_buckets is not None and args.period_buckets < 1:  # a flag, before any file
         raise DataError(f"--period-buckets: period_buckets must be >= 1, got {args.period_buckets}")
-    profiles = []
-    for path in args.csv:
-        profiles.append(_read_csv(load_arrival_csv, path, digests,
-                                  cumulative_snapshot=args.cumulative))
+    profiles = [_load_profile(args, path, digests) for path in args.csv]
     if args.period_buckets is not None:
         with _bad_input(f"{', '.join(args.csv)}: ", DataError):  # profiles that do not fold
             profile = fit_periodic_profile(profiles, args.period_buckets)
@@ -516,8 +515,6 @@ def _cmd_fit_arrival(args: argparse.Namespace, digests: dict[str, str]):
         raise DataError("combining multiple CSVs requires --period-buckets")
     else:
         profile = profiles[0]
-        if args.periodic:
-            profile = dataclasses.replace(profile, periodic=True)
     doc = {"profile": profile_to_dict(profile)}
     summary = [
         f"buckets: {len(profile.rates)} x {profile.bucket_seconds}s",
@@ -728,6 +725,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: a parse leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdpricer",
@@ -756,8 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     formatwarning = warnings.formatwarning
     # a warning is about the user's input, not about the line that raised it
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
@@ -773,11 +770,15 @@ def main(argv: list[str] | None = None) -> int:
             "input_digests": digests,
             "tool_version": __version__,
         }
-        _emit(doc, args.out)
+        out = args.out  # None also where it names the file stdout writes, as /dev/stdout does
+        with contextlib.suppress(OSError, ValueError):  # no such file, or stdout has no fd
+            if out is not None and os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno())):
+                out = None
+        _emit(doc, out)
         if side is not None and (path := _value(args, args._run.side[0])) is not None:
             _write(path, functools.partial(args._run.side[1], side))
         # the human summary goes to stdout only when the document went to a file
-        if args.out is not None:
+        if out is not None:
             for line in summary:
                 print(line)
         return 0
@@ -789,11 +790,6 @@ def main(argv: list[str] | None = None) -> int:
         return 5
     finally:
         warnings.formatwarning = formatwarning
-        # an argparse parser is a web of reference cycles, so it waits for the
-        # cyclic collector; collect it here, so that callers that run many
-        # commands in one process do not hold a parser (~130 KB) per command
-        del parser, args
-        gc.collect()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -767,6 +768,7 @@ class TestFlagDomains:
          "profile has no arrivals"),
         (["baseline", *PROB_FLAGS, "--trials", "0"], "trials"),
         (["baseline", *PROB_FLAGS, "--trials", "5", "--seed", "-1"], "seed"),
+        (["baseline", *PROB_FLAGS, "--penalty", "-1"], "penalty must be"),
         (["solve-deadline", *PROB_FLAGS, "--bound", "-1"], "bound must be"),
         (["solve-deadline", *PROB_FLAGS, "--bound", "nan"], "bound must be"),
         (["solve-deadline", *PROB_FLAGS, "--bound", "inf"], "bound must be"),
@@ -795,7 +797,8 @@ class TestFlagDomains:
           "--max-price", "20", "--mean-rate", "1e-320"],
          "mean_rate 1e-320 puts the expected latency"),
     ], ids=["baseline-confidence-1.0", "baseline-confidence--0.1", "baseline-zero-arrivals",
-            "baseline-trials-0", "baseline-seed--1", "bound--1", "bound-nan", "bound-inf",
+            "baseline-trials-0", "baseline-seed--1", "baseline-penalty--1", "bound--1",
+            "bound-nan", "bound-inf",
             "bound-tol-2", "deadline-hours-inf", "deadline-hours-1e300", "intervals-0", "task-seconds-nan",
             "market-total-inf", "mass-normalization-nan", "task-seconds-1e308",
             "task-seconds-5e-324", "market-total-1e308", "mass-normalization-1e-320",
@@ -1146,6 +1149,17 @@ class TestWarnings:
         assert (solved.returncode, solved.stderr) == (
             0, "warning: penalty 5.0 below grid.max_price 20: top prices can never pay off\n")
 
+    def test_a_baseline_is_not_warned_about_the_penalty(self, ws):
+        # the baseline prices at one fixed price too: its document ignores the penalty
+        argv = ["baseline", *PROB_FLAGS, "--confidence", "0.9", "--trials", "20"]
+        plain = run_cli(ws, *argv, "--out", "base_plain.json")
+        warned = run_cli(ws, *argv, "--penalty", "5", "--out", "base_pen.json")
+        assert (warned.returncode, warned.stderr) == (0, "")
+        docs = [load(ws, name) for name in ("base_plain.json", "base_pen.json")]
+        for doc in docs:
+            del doc["manifest"]
+        assert docs[0] == docs[1] and plain.stdout == warned.stdout
+
     def test_main_restores_the_formatter(self, ws, monkeypatch, capsys):
         before = warnings.formatwarning
         monkeypatch.chdir(ws)
@@ -1413,7 +1427,9 @@ class TestOutputKinds:
     """Every output (`--out`, `simulate --csv`, `fit arrival --csv-out`) is
     written by `cli._write`: a regular file is replaced whole or not at all,
     and a pipe or a symlink is written in place, the pipe's reader getting
-    the bytes a file gets and the link kept."""
+    the bytes a file gets and the link kept.  An `--out` that names the file
+    standard output writes is not opened: the document goes to stdout, with
+    no summary after it."""
 
     ARGV = ["solve-deadline", *PROB_FLAGS, "--out"]
 
@@ -1466,6 +1482,65 @@ class TestOutputKinds:
             f"error: cannot write {csv}: {os.strerror(errno.ENOSPC)}\n")
         assert csv.read_text() == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+
+    FIT = ["fit", "arrival", "--csv", "arr.csv", "--period-buckets", "3", "--out"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_naming_stdout_writes_one_document_there(self, ws):
+        r = run_cli(ws, *self.FIT, "/dev/stdout")
+        assert (r.returncode, r.stderr) == (0, "")
+        doc = json.loads(r.stdout)
+        assert doc["manifest"]["resolved_parameters"]["out"] == "/dev/stdout"
+        assert r.stdout == rows_layout(doc)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_naming_stdout_appends_where_stdout_appends(self, ws, tmp_path):
+        log = tmp_path / "log"
+        log.write_text("earlier line\n")
+        with open(log, "a") as fh:
+            r = subprocess.run([sys.executable, "-m", "crowdpricer", *self.FIT, "/dev/stdout"],
+                               stdout=fh, stderr=subprocess.PIPE, text=True, cwd=ws,
+                               env=cli_env())
+        assert (r.returncode, r.stderr) == (0, "")
+        first, rest = log.read_text().split("\n", 1)
+        assert first == "earlier line"
+        assert json.loads(rest)["profile"]["rates"] == [6.0, 6.0, 6.0]
+
+
+class TestRepeatedRuns:
+    """`cli.main` may run many commands in one process: it builds its parser
+    once, and a parse leaves nothing in the parser for the next one."""
+
+    TRADEOFF = PRODUCERS["to_zero.json"][:-2]
+
+    def test_no_parser_is_left_for_the_collector(self, ws, monkeypatch, capsys):
+        monkeypatch.chdir(ws)
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it would free
+        try:
+            for _ in range(2):
+                assert cli.main(self.TRADEOFF) == 0
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    def test_a_reused_parser_keeps_no_appended_values(self, ws, monkeypatch, capsys):
+        for name in ("a.csv", "b.csv"):
+            (ws / name).write_bytes((ws / "arr.csv").read_bytes())
+        monkeypatch.chdir(ws)
+        fit = ["fit", "arrival", "--csv", "a.csv", "--csv", "b.csv", "--period-buckets", "3"]
+        outs = []
+        for argv in (fit, self.TRADEOFF, fit):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2]
+        assert json.loads(outs[2])["manifest"]["resolved_parameters"]["csv"] == ["a.csv", "b.csv"]
 
 
 class TestReader:
