@@ -30,7 +30,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 import warnings
 from collections.abc import Callable
 from typing import NamedTuple
@@ -62,6 +61,7 @@ from .market import (
     ArrivalProfile,
     LogisticAcceptance,
     PriceGrid,
+    _require_int,
     grid_to_dict,
     model_from_dict,
     model_to_dict,
@@ -201,12 +201,10 @@ def _write(path: str, fill: Callable[[str], None]) -> None:
     try:
         if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
             return fill(path)  # a directory fails here with EISDIR
-        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                                   dir=os.path.dirname(path) or ".")
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+        open(tmp, "x").close()  # O_EXCL: a name that is ours alone, mode 0o666 less the umask
         try:
-            os.close(fd)
-            os.umask(umask := os.umask(0))  # mkstemp made the file 0600; give it open()'s mode
-            os.chmod(tmp, 0o666 & ~umask)
             fill(tmp)
             os.replace(tmp, path)
         except BaseException:
@@ -261,7 +259,7 @@ def _load_profile(args: argparse.Namespace, path: str, digests: dict[str, str]) 
 
 
 def _interval_seconds(deadline_hours: float, intervals: int) -> int:
-    if intervals < 1:
+    if _require_int("--intervals", intervals) < 1:  # the division overflows past the float range
         raise DataError(f"--intervals must be >= 1, got {intervals}")
     per = deadline_hours * 3600.0 / intervals
     snapped = round(per) if math.isfinite(per) else 0
@@ -734,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "market model fitting.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = {"": parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
+    subparsers = {"": parser.add_subparsers(required=True, metavar="COMMAND")}
     for name, command in _COMMANDS.items():
         parent, _, word = name.rpartition(" ")
         sp = subparsers[parent].add_parser(word, help=command.help)
@@ -758,38 +756,38 @@ def main(argv: list[str] | None = None) -> int:
     formatwarning = warnings.formatwarning
     # a warning is about the user's input, not about the line that raised it
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-    try:
-        digests: dict[str, str] = {}
-        _check_outputs(args, ["--out", *args._run.side[:1]])
-        doc, side, summary = args._run.func(args, digests)
-        doc["schema_version"] = SCHEMA_VERSION
-        doc["manifest"] = {
-            "command": args._command,
-            "resolved_parameters": {k: v for k, v in vars(args).items()
-                                    if not k.startswith("_") and k != "command"},
-            "input_digests": digests,
-            "tool_version": __version__,
-        }
-        out = args.out  # None also where it names the file stdout writes, as /dev/stdout does
-        with contextlib.suppress(OSError, ValueError):  # no such file, or stdout has no fd
-            if out is not None and os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno())):
-                out = None
-        _emit(doc, out)
-        if side is not None and (path := _value(args, args._run.side[0])) is not None:
-            _write(path, functools.partial(args._run.side[1], side))
-        # the human summary goes to stdout only when the document went to a file
-        if out is not None:
-            for line in summary:
-                print(line)
-        return 0
-    except CrowdPricerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, InfeasibleError) else 5
-    except Exception as exc:  # CLI boundary: report, do not traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
-    finally:
-        warnings.formatwarning = formatwarning
+    with warnings.catch_warnings():  # each run shows its own warnings, under the caller's filters
+        try:
+            digests: dict[str, str] = {}
+            _check_outputs(args, ["--out", *args._run.side[:1]])
+            doc, side, summary = args._run.func(args, digests)
+            doc["schema_version"] = SCHEMA_VERSION
+            doc["manifest"] = {
+                "command": args._command,
+                "resolved_parameters": {k: v for k, v in vars(args).items() if k[0] != "_"},
+                "input_digests": digests,
+                "tool_version": __version__,
+            }
+            out = args.out  # None also where it names the file stdout writes, as /dev/stdout does
+            with contextlib.suppress(OSError, ValueError):  # no such file, or stdout has no fd
+                if out and os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno())):
+                    out = None
+            _emit(doc, out)
+            if side is not None and (path := _value(args, args._run.side[0])) is not None:
+                _write(path, functools.partial(args._run.side[1], side))
+            # the human summary goes to stdout only when the document went to a file
+            if out is not None:
+                for line in summary:
+                    print(line)
+            return 0
+        except CrowdPricerError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, InfeasibleError) else 5
+        except Exception as exc:  # CLI boundary: report, do not traceback
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 5
+        finally:
+            warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

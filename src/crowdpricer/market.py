@@ -36,6 +36,7 @@ from .errors import DataError, DomainError, _bad_input
 def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    _require_real(name, value)  # an int past the float range is refused as a number is
     return int(value)
 
 

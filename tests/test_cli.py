@@ -760,6 +760,10 @@ class TestFlagDomains:
 
     FIT = ["fit", "acceptance", "--csv", "obs.csv", "--task-seconds", "120",
            "--market-total", "6000"]
+    BIG = "9" * 400  # an integer past the float range
+    TRADEOFF = ["tradeoff", "--alpha", "1", "--variant", "arrival", "--rate", "30",
+                "--acceptance", "15,-0.39,2000"]
+    BUDGET = ["solve-budget", "--acceptance-table", "tab.csv", "--max-price", "20"]
 
     @pytest.mark.parametrize("argv, needle", [
         (["baseline", *PROB_FLAGS, "--confidence", "1.0", "--trials", "10"], "confidence"),
@@ -796,6 +800,22 @@ class TestFlagDomains:
         (["solve-budget", "--tasks", "3", "--budget", "30", "--acceptance-table", "tab.csv",
           "--max-price", "20", "--mean-rate", "1e-320"],
          "mean_rate 1e-320 puts the expected latency"),
+        (["solve-deadline", *flags("--max-price", BIG)],
+         "bad price grid: max_price is past the float range"),
+        ([*TRADEOFF, "--tasks", "5", "--max-price", BIG],
+         "bad price grid: max_price is past the float range"),
+        (["solve-deadline", *flags("--tasks", BIG)],
+         "bad problem: n_tasks is past the float range"),
+        ([*TRADEOFF, "--tasks", BIG, "--max-price", "20"],
+         "bad problem: n_tasks is past the float range"),
+        ([*BUDGET, "--tasks", BIG, "--budget", BIG],
+         "bad problem: n_tasks is past the float range"),
+        ([*BUDGET, "--tasks", "8", "--budget", BIG], "bad problem: budget is past the float range"),
+        (["solve-deadline", *flags("--intervals", BIG)],
+         "bad problem: --intervals is past the float range"),
+        (["simulate", "--policy", "pol.json", "--trials", BIG], "trials is past the float range"),
+        (["simulate", "--alloc", "alloc_big.json", "--arrival-csv", "arr.csv", "--trials", "10"],
+         "alloc_big.json: bad allocation document: price is past the float range"),
     ], ids=["baseline-confidence-1.0", "baseline-confidence--0.1", "baseline-zero-arrivals",
             "baseline-trials-0", "baseline-seed--1", "baseline-penalty--1", "bound--1",
             "bound-nan", "bound-inf",
@@ -803,10 +823,15 @@ class TestFlagDomains:
             "market-total-inf", "mass-normalization-nan", "task-seconds-1e308",
             "task-seconds-5e-324", "market-total-1e308", "mass-normalization-1e-320",
             "period-buckets-0", "penalty-1e308", "existence-alpha-1e308", "epsilon-1e-320",
-            "mean-rate-1e-320"])
+            "mean-rate-1e-320", "max-price-big", "tradeoff-max-price-big", "tasks-big",
+            "tradeoff-tasks-big", "budget-tasks-big", "budget-big", "intervals-big",
+            "trials-big", "alloc-price-big"])
     def test_exits_3_naming_the_flag(self, ws, monkeypatch, capsys, argv, needle):
         (ws / "arrzero.csv").write_text(
             "t_seconds,count\n" + "".join(f"{i * 1200},0\n" for i in range(6)))
+        alloc = ensure(ws, "alloc.json")
+        alloc["allocation"]["entries"][0]["price"] = int(self.BIG)
+        (ws / "alloc_big.json").write_text(json.dumps(alloc))
         solves = []
         for name in ("solve_efficient", "solve_simple"):
             monkeypatch.setattr(cli, name, lambda problem: solves.append(problem))
@@ -1298,6 +1323,33 @@ class TestWriter:
         assert out.read_bytes() == b'{"old": true}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["pol.json"]
 
+    def test_outputs_leave_the_umask_alone(self, ws, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("the process umask was changed")
+
+        monkeypatch.chdir(ws)
+        monkeypatch.setattr(os, "umask", umask)
+        t = tmp_path
+        for argv in (["solve-deadline", *PROB_FLAGS, "--out", f"{t}/pol.json"],
+                     ["simulate", "--policy", "pol.json", "--trials", "20",
+                      "--csv", f"{t}/trials.csv", "--out", f"{t}/rep.json"],
+                     ["fit", "arrival", "--csv", "arr.csv", "--csv-out", f"{t}/prof.csv",
+                      "--out", f"{t}/prof.json"]):
+            assert cli.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pol.json", "prof.csv", "prof.json", "rep.json", "trials.csv"]
+
+    def test_mode_follows_a_restrictive_umask(self, ws, tmp_path):
+        code = ("import os, sys; import crowdpricer.cli as cli; os.umask(0o077); "
+                "open(sys.argv[1], 'w').close(); sys.exit(cli.main(sys.argv[2:]))")
+        plain, out = tmp_path / "plain.json", tmp_path / "prof.json"
+        r = subprocess.run([sys.executable, "-c", code, str(plain), "fit", "arrival", "--csv",
+                            "arr.csv", "--out", str(out)], capture_output=True, text=True,
+                           cwd=ws, env=cli_env())
+        assert r.returncode == 0, r.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "prof.json"]
+
     @pytest.mark.parametrize("out, code", [("missing/p.json", errno.ENOENT),
                                            ("dir", errno.EISDIR)], ids=["missing-dir", "a-dir"])
     def test_an_unwritable_out_is_named_as_given(self, ws, monkeypatch, capsys, tmp_path,
@@ -1541,6 +1593,30 @@ class TestRepeatedRuns:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[2]
         assert json.loads(outs[2])["manifest"]["resolved_parameters"]["csv"] == ["a.csv", "b.csv"]
+
+    PENALTY = "penalty 5.0 below grid.max_price 20: top prices can never pay off"
+
+    def test_each_run_prints_its_own_warnings(self, ws):
+        # the filter a command line starts with shows each warning once per location
+        code = ("import sys, warnings; import crowdpricer.cli as cli; "
+                "warnings.simplefilter('default'); "
+                "sys.exit(sum(cli.main(sys.argv[1:]) for _ in range(3)))")
+        r = subprocess.run([sys.executable, "-c", code, "solve-deadline", *PROB_FLAGS,
+                            "--penalty", "5"], capture_output=True, text=True, cwd=ws,
+                           env=cli_env())
+        assert (r.returncode, r.stderr) == (0, f"warning: {self.PENALTY}\n" * 3)
+
+    def test_the_callers_filters_apply(self, ws, monkeypatch, capsys):
+        monkeypatch.chdir(ws)
+        argv = ["solve-deadline", *PROB_FLAGS, "--penalty", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert [cli.main(argv) for _ in range(2)] == [0, 0]
+        assert [str(w.message) for w in caught] == [self.PENALTY] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 5
+        assert capsys.readouterr().err.endswith(f"error: UserWarning: {self.PENALTY}\n")
 
 
 class TestReader:
@@ -1829,16 +1905,17 @@ class TestPolicyInput:
 # A derandomized fuzz of the command line.
 
 # flag values by kind: a few valid ones and malformed ones.  Sizes stay
-# small, because a large valid size is an expensive input, not a bad one.
+# small or past the float range, because a large valid size is an expensive
+# input, not a bad one.
 _FUZZ_VALUES = {
-    "size": ["0", "1", "3", "12", "-1", "2.5", "x", "", "1e3", "0x10"],
+    "size": ["0", "1", "3", "12", "-1", "2.5", "x", "", "1e3", "0x10", "9" * 400],
     "int": ["0", "1", "600", "-5", "2.5", "x", "", "99999999999999999999", "9" * 400],
     "real": ["0", "0.5", "1", "2", "-1", "5e-324", "1e308", "nan", "inf", "-inf", "x", ""],
     "text": ["", "x", "1,2", "15,-0.39,2000", "nan,0,1", "1,2,3,4", "0,0,0", "inf,1,1"],
 }
 # CSV fields and text spliced into documents
 _FUZZ_TOKENS = ["0", "-1", "2.5", "1e400", "nan", "inf", "", "x", "1_0", "٣", " 5 ",
-                "0x10", '"', ",", "\n", "{", "]", "null", "true", "1e-400"]
+                "0x10", '"', ",", "\n", "{", "]", "null", "true", "1e-400", "9" * 400]
 
 
 class TestFuzz:
