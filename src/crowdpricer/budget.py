@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DataError, DomainError, InfeasibleError
+from .market import _AT_LEAST_0, _AT_LEAST_1, _POSITIVE_FINITE
 from .market import AcceptanceModel, PriceGrid, _check_fields, _require_coverage, _require_int
 
 # below this acceptance probability a price is treated as unusable: the
@@ -36,13 +37,7 @@ class BudgetProblem:
     mean_rate: float  # worker arrivals per hour, for latency conversion
 
     def __post_init__(self) -> None:
-        _check_fields(self, n_tasks=int, budget=int, mean_rate=float)
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        if not (self.mean_rate > 0 and math.isfinite(self.mean_rate)):
-            raise ValueError("mean_rate must be positive and finite")
+        _check_fields(self, n_tasks=_AT_LEAST_1, budget=_AT_LEAST_0, mean_rate=_POSITIVE_FINITE)
         _require_coverage(self.model, self.grid)
         if self.budget < self.n_tasks * self.grid.min_price:
             raise InfeasibleError(

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, InfeasibleError, _bad_input
 from .jsonstream import numeric_matrix
+from .market import _AT_LEAST_0, _AT_LEAST_1, _FINITE_AT_LEAST_0
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -87,28 +88,15 @@ class DeadlineProblem:
     def __post_init__(self) -> None:
         if self.penalty is None:
             object.__setattr__(self, "penalty", 10.0 * self.grid.max_price)
-        _check_fields(self, n_tasks=int, n_intervals=int, interval_seconds=int,
-                      start_offset_seconds=int, penalty=float, existence_alpha=float,
-                      epsilon=float)
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        if self.n_intervals < 1:
-            raise ValueError("n_intervals must be >= 1")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        if self.start_offset_seconds < 0:
-            raise ValueError("start_offset_seconds must be >= 0")
+        _check_fields(self, n_tasks=_AT_LEAST_1, n_intervals=_AT_LEAST_1,
+                      interval_seconds=_AT_LEAST_1, start_offset_seconds=_AT_LEAST_0,
+                      epsilon=(float, lambda v: 0 <= v < 1, "in [0, 1); 0 disables truncation"),
+                      existence_alpha=_FINITE_AT_LEAST_0, penalty=_FINITE_AT_LEAST_0)
         end = self.start_offset_seconds + self.n_intervals * self.interval_seconds
         if end > 2**53:  # the interval edges are float seconds, whole only below this
             raise ValueError(f"the horizon ends at {end} s, past 2**53 s")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError("epsilon must be in [0, 1); 0 disables truncation")
         _table_floor(self.epsilon)
-        if not (self.existence_alpha >= 0 and np.isfinite(self.existence_alpha)):
-            raise ValueError("existence_alpha must be finite and >= 0")
         _require_coverage(self.model, self.grid)
-        if not (self.penalty >= 0 and np.isfinite(self.penalty)):
-            raise ValueError("penalty must be finite and >= 0")
         top = self.terminal_cost(self.n_tasks) + 2 * self.n_tasks * self.grid.max_price
         if not np.isfinite(top):  # no cost the solvers form exceeds this one
             raise ValueError(

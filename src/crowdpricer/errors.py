@@ -18,7 +18,8 @@ class DataError(CrowdPricerError):
 
 class DomainError(DataError, ValueError):
     """An argument outside its domain, such as a confidence of 1 or a NaN
-    bound: a ValueError to library callers, bad input to the CLI."""
+    bound, and every stored field outside its domain, such as n_tasks=0:
+    a ValueError to library callers, bad input to the CLI."""
 
 
 @contextlib.contextmanager

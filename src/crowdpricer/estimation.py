@@ -78,7 +78,7 @@ def read_csv_rows(path: str, columns, digest=None):
         if [h.strip() for h in first] != header:
             raise DataError(
                 f"{path}: row 1: header must be "
-                f"'{','.join(header)}', got '{','.join(first)}'"
+                f"'{','.join(header)}', got {','.join(first)!r}"
             )
         for row_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -21,6 +21,8 @@ Objects hold plain checked values: each constructor stores every number
 and flag it takes as the Python ``int``, ``float`` or ``bool`` that
 ``_check_fields`` returns, so document readers pass values on unchanged,
 writers only lay out fields, and ``300`` and ``300.0`` give one digest.
+``_check_fields`` holds each field's type and domain: a value outside its
+domain raises ``DomainError`` as ``<field> must be <phrase>``.
 """
 
 from __future__ import annotations
@@ -57,13 +59,25 @@ def _require_bool(name: str, value) -> bool:
 
 _CHECKS = {int: _require_int, float: _require_real, bool: _require_bool}
 
+# field domains, each a (kind, test of the plain value, phrase) triple
+_AT_LEAST_1 = (int, lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = (int, lambda v: v >= 0, ">= 0")
+_FINITE = (float, math.isfinite, "finite")
+_FINITE_AT_LEAST_0 = (float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_POSITIVE_FINITE = (float, lambda v: 0 < v < math.inf, "positive and finite")
 
-def _check_fields(obj, **kinds: type) -> None:
+
+def _check_fields(obj, **kinds) -> None:
     """Store each named field of the frozen dataclass obj as a plain value
-    of its kind (int, float or bool).  A bool is not a number, a string is
-    never accepted, and a numpy scalar becomes its Python value."""
+    of its kind (int, float or bool, or a domain's kind), then check every
+    domain.  A bool is not a number, a string is never accepted, and a
+    numpy scalar becomes its Python value."""
     for name, kind in kinds.items():
-        object.__setattr__(obj, name, _CHECKS[kind](name, getattr(obj, name)))
+        check = _CHECKS[kind[0] if isinstance(kind, tuple) else kind]
+        object.__setattr__(obj, name, check(name, getattr(obj, name)))
+    for name, kind in kinds.items():
+        if isinstance(kind, tuple) and not kind[1](getattr(obj, name)):
+            raise DomainError(f"{name} must be {kind[2]}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +96,7 @@ class ArrivalProfile:
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_fields(self, bucket_seconds=int, periodic=bool)
-        if self.bucket_seconds <= 0:
-            raise ValueError("bucket_seconds must be positive")
+        _check_fields(self, bucket_seconds=_AT_LEAST_1, periodic=bool)
         rates = tuple(_require_real("rates", r) for r in self.rates)
         if not rates:
             raise ValueError("profile needs at least one bucket")
@@ -169,13 +181,8 @@ class LogisticAcceptance(AcceptanceModel):
     market_mass_m: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, scale_s=float, bias_b=float, market_mass_m=float)
-        if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
-            raise ValueError("scale_s must be positive and finite")
-        if not math.isfinite(self.bias_b):
-            raise ValueError("bias_b must be finite")
-        if not (self.market_mass_m >= 0 and math.isfinite(self.market_mass_m)):
-            raise ValueError("market_mass_m must be non-negative and finite")
+        _check_fields(self, scale_s=_POSITIVE_FINITE, bias_b=_FINITE,
+                      market_mass_m=_FINITE_AT_LEAST_0)
 
     def probability(self, price: int) -> float:
         if not math.isfinite(price):
@@ -233,11 +240,7 @@ class PriceGrid:
     step: int = 1
 
     def __post_init__(self) -> None:
-        _check_fields(self, min_price=int, max_price=int, step=int)
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.min_price < 0:
-            raise ValueError("min_price must be non-negative")
+        _check_fields(self, min_price=_AT_LEAST_0, max_price=int, step=_AT_LEAST_1)
         if self.max_price < self.min_price:
             raise ValueError("max_price must be >= min_price")
         if (self.max_price - self.min_price) % self.step != 0:
@@ -251,13 +254,17 @@ class PriceGrid:
 
 
 def _require_coverage(model: AcceptanceModel, grid: PriceGrid) -> None:
-    """Raise ValueError when a tabulated model misses a grid price."""
+    """Raise ValueError when a tabulated model misses a grid price, in work
+    that grows with the table, not the grid (range membership is O(1))."""
     if isinstance(model, TabulatedAcceptance):
-        missing = [c for c in grid.prices() if c not in model.entries]
+        prices = grid.prices()
+        size = (grid.max_price - grid.min_price) // grid.step + 1  # len() ends at 2**63
+        missing = size - sum(c in prices for c in model.entries)
         if missing:
+            first = next(c for c in prices if c not in model.entries)
             raise ValueError(
-                f"tabulated model has no probability for {len(missing)} grid "
-                f"price(s), the first being {missing[0]}"
+                f"tabulated model has no probability for {missing} grid "
+                f"price(s), the first being {first}"
             )
 
 

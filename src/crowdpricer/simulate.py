@@ -29,6 +29,7 @@ from .deadline import (
 )
 from .budget import _allocation_entries, expected_worker_arrivals
 from .errors import DataError, DomainError, InfeasibleError
+from .market import _AT_LEAST_0, _AT_LEAST_1
 from .market import (
     AcceptanceModel,
     ArrivalProfile,
@@ -50,9 +51,7 @@ class FixedPrice:
     price: int
 
     def __post_init__(self) -> None:
-        _check_fields(self, price=int)
-        if self.price < 0:
-            raise ValueError("price must be >= 0")
+        _check_fields(self, price=_AT_LEAST_0)
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,8 @@ class SimulationConfig:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        _check_fields(self, trials=int, seed=int, parallel=bool)
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
-        if not (0 <= self.seed < 2**63):
-            raise DomainError("seed must be in [0, 2**63)")
+        _check_fields(self, trials=_AT_LEAST_1,
+                      seed=(int, lambda v: 0 <= v < 2**63, "in [0, 2**63)"), parallel=bool)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ every n and Opt(n) is the running sum of n copies of the minimal step cost.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, LowRatePremiseWarning
+from .market import _AT_LEAST_1, _FINITE_AT_LEAST_0, _POSITIVE_FINITE
 from .market import AcceptanceModel, PriceGrid, _check_fields, _lowest_tie, _require_coverage
 
 
@@ -35,9 +35,7 @@ class FixedRateMarket:
     workers_per_interval: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, workers_per_interval=float)
-        if not (self.workers_per_interval > 0 and math.isfinite(self.workers_per_interval)):
-            raise ValueError("workers_per_interval must be positive and finite")
+        _check_fields(self, workers_per_interval=_POSITIVE_FINITE)
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,7 @@ class ArrivalBasedMarket:
     mean_rate_per_hour: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, mean_rate_per_hour=float)
-        if not (self.mean_rate_per_hour > 0 and math.isfinite(self.mean_rate_per_hour)):
-            raise ValueError("mean_rate_per_hour must be positive and finite")
+        _check_fields(self, mean_rate_per_hour=_POSITIVE_FINITE)
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,7 @@ class TradeoffProblem:
     market: FixedRateMarket | ArrivalBasedMarket
 
     def __post_init__(self) -> None:
-        _check_fields(self, n_tasks=int, alpha=float)
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ValueError("alpha must be >= 0 and finite")
+        _check_fields(self, n_tasks=_AT_LEAST_1, alpha=_FINITE_AT_LEAST_0)
         _require_coverage(self.model, self.grid)
 
 

@@ -858,6 +858,32 @@ class TestCoverage:
             "error: bad problem: tabulated model has no probability for 1 grid "
             "price(s), the first being 2\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-deadline", "--tasks", "5", "--deadline-hours", "2", "--intervals", "6",
+         "--arrival-csv", "arr.csv"],
+        ["tradeoff", "--tasks", "5", "--alpha", "3", "--variant", "arrival", "--rate", "300"],
+    ], ids=["solve-deadline", "tradeoff"])
+    @pytest.mark.parametrize("top", [10, 300], ids=["1e10", "1e300"])
+    def test_huge_grid_is_refused_in_memory_of_the_table(self, ws, monkeypatch, capsys, argv,
+                                                          top):
+        # 10**top + 1 grid prices: a list of the missing ones would not fit in
+        # memory, and len() of the range stops at 2**63
+        (ws / "two.csv").write_text("price_cents,probability\n0,0.1\n1,0.2\n")
+        monkeypatch.chdir(ws)
+        argv = [*argv, "--acceptance-table", "two.csv", "--max-price", str(10**top)]
+        assert cli.main(argv) == 3  # the first call also builds the parser
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == (
+            f"error: bad problem: tabulated model has no probability for {10**top - 1} grid "
+            "price(s), the first being 2\n")
+
 
 class TestTradeoff:
     def test_zero_alpha_picks_cheapest_price(self, ws):
@@ -1050,6 +1076,15 @@ class TestCsvInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: latin1.csv: not valid UTF-8: 'utf-8' codec can't decode")
+
+    def test_a_quoted_header_prints_on_one_line(self, ws, monkeypatch, capsys):
+        # the csv reader takes the whole file after an opening quote as one field
+        monkeypatch.chdir(ws)
+        (ws / "quoted.csv").write_text('"t_seconds,count\n0,6\n1200,6\n')
+        assert cli.main(["fit", "arrival", "--csv", "quoted.csv"]) == 3
+        assert capsys.readouterr().err == (
+            "error: quoted.csv: row 1: header must be 't_seconds,count', "
+            "got 't_seconds,count\\n0,6\\n1200,6\\n'\n")
 
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

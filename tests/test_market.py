@@ -9,15 +9,23 @@ import oracles
 from crowdpricer import market
 from crowdpricer import (
     AcceptanceModel,
+    ArrivalBasedMarket,
     ArrivalProfile,
+    BudgetProblem,
     DataError,
+    DeadlineProblem,
+    FixedPrice,
+    FixedRateMarket,
     LogisticAcceptance,
     PriceGrid,
+    SimulationConfig,
     TabulatedAcceptance,
+    TradeoffProblem,
     poisson_pmf,
     poisson_tail,
     truncation_threshold,
 )
+from crowdpricer.errors import DomainError
 from crowdpricer.market import (
     _transition_tables,
     grid_from_dict,
@@ -514,3 +522,67 @@ class TestSerialization:
             model_to_dict(AcceptanceModel())
         with pytest.raises(DataError, match="^unknown acceptance model type: 'nope'$"):
             model_from_dict({"type": "nope"})
+
+
+
+_MODEL = LogisticAcceptance(scale_s=15.0, bias_b=0.0, market_mass_m=1.0)
+_GRID = PriceGrid(min_price=0, max_price=10)
+# constructor -> keyword arguments that build it
+_VALID = {
+    ArrivalProfile: {"bucket_seconds": 60, "rates": (1.0,)},
+    LogisticAcceptance: {"scale_s": 15.0, "bias_b": 0.0, "market_mass_m": 1.0},
+    PriceGrid: {"min_price": 0, "max_price": 10},
+    DeadlineProblem: {"n_tasks": 2, "n_intervals": 2, "interval_seconds": 60,
+                      "profile": ArrivalProfile(60, (1.0,), periodic=True),
+                      "model": _MODEL, "grid": _GRID},
+    BudgetProblem: {"n_tasks": 2, "budget": 10, "model": _MODEL, "grid": _GRID,
+                    "mean_rate": 1.0},
+    FixedRateMarket: {"workers_per_interval": 1.0},
+    ArrivalBasedMarket: {"mean_rate_per_hour": 1.0},
+    TradeoffProblem: {"n_tasks": 2, "alpha": 1.0, "model": _MODEL, "grid": _GRID,
+                      "market": ArrivalBasedMarket(1.0)},
+    FixedPrice: {"price": 5},
+    SimulationConfig: {"trials": 1, "seed": 0},
+}
+_OUT_OF_DOMAIN = [
+    (ArrivalProfile, "bucket_seconds", 0, ">= 1"),
+    (LogisticAcceptance, "scale_s", math.inf, "positive and finite"),
+    (LogisticAcceptance, "bias_b", math.nan, "finite"),
+    (LogisticAcceptance, "market_mass_m", -1.0, "finite and >= 0"),
+    (PriceGrid, "min_price", -1, ">= 0"),
+    (PriceGrid, "step", 0, ">= 1"),
+    (DeadlineProblem, "n_tasks", 0, ">= 1"),
+    (DeadlineProblem, "n_intervals", 0, ">= 1"),
+    (DeadlineProblem, "interval_seconds", 0, ">= 1"),
+    (DeadlineProblem, "start_offset_seconds", -1, ">= 0"),
+    (DeadlineProblem, "epsilon", 1.0, "in [0, 1); 0 disables truncation"),
+    (DeadlineProblem, "existence_alpha", math.inf, "finite and >= 0"),
+    (DeadlineProblem, "penalty", math.nan, "finite and >= 0"),
+    (BudgetProblem, "n_tasks", 0, ">= 1"),
+    (BudgetProblem, "budget", -1, ">= 0"),
+    (BudgetProblem, "mean_rate", 0, "positive and finite"),
+    (FixedRateMarket, "workers_per_interval", -math.inf, "positive and finite"),
+    (ArrivalBasedMarket, "mean_rate_per_hour", math.nan, "positive and finite"),
+    (TradeoffProblem, "n_tasks", 0, ">= 1"),
+    (TradeoffProblem, "alpha", -math.inf, "finite and >= 0"),
+    (FixedPrice, "price", -1, ">= 0"),
+    (SimulationConfig, "trials", 0, ">= 1"),
+    (SimulationConfig, "seed", 2**63, "in [0, 2**63)"),
+]
+
+
+class TestFieldDomains:
+    """Every stored field outside its domain raises DomainError as
+    '<field> must be <phrase>', whichever constructor stores it."""
+
+    @pytest.mark.parametrize("cls, name, value, phrase", _OUT_OF_DOMAIN,
+                             ids=[f"{c.__name__}.{n}" for c, n, _, _ in _OUT_OF_DOMAIN])
+    def test_out_of_domain_field(self, cls, name, value, phrase):
+        cls(**_VALID[cls])
+        with pytest.raises(DomainError) as info:
+            cls(**{**_VALID[cls], name: value})
+        assert str(info.value) == f"{name} must be {phrase}"
+
+    def test_types_are_checked_before_domains(self):
+        with pytest.raises(DomainError, match="^max_price must be an integer, got 2.5$"):
+            PriceGrid(min_price=-1, max_price=2.5)
